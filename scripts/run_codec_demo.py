@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from melvq.analysis import FrameConfig, MelSpectrogram, build_mel_filterbank, compute_mfcc
-from melvq.cli import encode_audio
+from melvq.bitstream import encode_audio
 from melvq.metrics import QualityReport, lsd, mcd, seg_snr, stoi
 from melvq.quantizer import RateMode
 from melvq.signal_io import AudioBuffer, write_wav

@@ -1,11 +1,10 @@
 """Scalable low-bit-rate wideband speech codec built on mel-cepstral VQ.
 
 Audio at 16 kHz is reduced to 80 mel-cepstral coefficients per 64 ms frame,
-quantized with a scalar quantizer for the energy coefficient plus a vector
-quantizer (single-stage at 1000 bit/s, two-stage at 2000 bit/s) for the
-rest, and serialized to a compact self-describing stream.  Decoding inverts
-the cepstral transform and recovers a waveform with iterative
-phase reconstruction.
+quantized through one list of codebook stages (an energy stage, then one
+VQ stage at 1000 bit/s or two at 2000 bit/s), and serialized to a compact
+self-describing stream.  Decoding inverts the cepstral transform and
+recovers a waveform with iterative phase reconstruction.
 """
 
 from .analysis import (
@@ -24,12 +23,12 @@ from .analysis import (
 )
 from .bitstream import (
     EncodedStream,
+    encode_audio,
     pack,
     stream_bitrate,
     stream_codes,
-    unpack,
+    unpack_codes,
 )
-from .cli import encode_audio
 from .errors import (
     FormatError,
     HashMismatchError,
@@ -42,11 +41,9 @@ from .quantizer import (
     DEFAULT_BEAM_WIDTH,
     CodebookSet,
     FrameCode,
-    MsvqCodebook,
     RateMode,
-    ScalarCodebook,
     VectorCodebook,
-    dequantize_frame,
+    dequantize,
     fnv1a64,
     quantize_frame,
 )
@@ -91,7 +88,7 @@ __all__ = [
     "pack",
     "stream_bitrate",
     "stream_codes",
-    "unpack",
+    "unpack_codes",
     "encode_audio",
     "FormatError",
     "HashMismatchError",
@@ -106,11 +103,9 @@ __all__ = [
     "DEFAULT_BEAM_WIDTH",
     "CodebookSet",
     "FrameCode",
-    "MsvqCodebook",
     "RateMode",
-    "ScalarCodebook",
     "VectorCodebook",
-    "dequantize_frame",
+    "dequantize",
     "fnv1a64",
     "quantize_frame",
     "AudioBuffer",

@@ -9,11 +9,12 @@ A stream is an 18-byte header followed by the packed frame payload:
     6       4     frame count, unsigned 32-bit little-endian
     10      8     codebook content hash, unsigned 64-bit little-endian
 
-Payload frames are concatenated MSB-first in field order: scalar index, then
+Payload frames are concatenated MSB-first in field order: energy index, then
 the VQ stage index(es). Field widths are fixed per mode (4+12 bits or
 6+13+13 bits, so 16 or 32 bits per frame) regardless of the trained codebook
 sizes, and the payload is zero-padded to a whole byte at the end. The header
-is not counted in the payload bit rate.
+is not counted in the payload bit rate. encode_audio is the whole encoder:
+MFCC analysis, quantization and packing.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import FrameConfig
+from .analysis import FrameConfig, compute_mfcc
 from .errors import FormatError
-from .quantizer import FrameCode, RateMode
+from .quantizer import DEFAULT_BEAM_WIDTH, CodebookSet, FrameCode, RateMode, _quantize
+from .signal_io import AudioBuffer
 
 STREAM_MAGIC = b"MVQC"
 STREAM_VERSION = 1
@@ -93,56 +95,53 @@ def _payload_len(mode: RateMode, frame_count: int) -> int:
     return (frame_count * mode.bits_per_frame + 7) // 8
 
 
-def _field_layout(mode: RateMode) -> tuple[tuple[int, ...], np.dtype]:
-    widths = (mode.sq_field_bits,) + mode.vq_field_bits
-    dtype = np.dtype(">u2") if mode.bits_per_frame == 16 else np.dtype(">u4")
-    return widths, dtype
+def _word_dtype(mode: RateMode) -> np.dtype:
+    return np.dtype(f">u{mode.bits_per_frame // 8}")
 
 
-def pack(codes: list[FrameCode], mode: RateMode, codebook_hash: int) -> EncodedStream:
-    """Pack frame codes into a stream, validating every index against the
-    mode's fixed field widths."""
-    widths, dtype = _field_layout(mode)
-    words = np.zeros(len(codes), dtype=np.uint64)
-    for n, code in enumerate(codes):
-        fields = (code.sq_index,) + code.vq_indices
-        if len(fields) != len(widths):
-            raise ValueError(
-                f"frame {n}: {len(fields) - 1} VQ indices, "
-                f"{mode.name} packs {len(widths) - 1}"
-            )
-        word = 0
-        for value, width in zip(fields, widths):
-            if not 0 <= value < (1 << width):
-                raise ValueError(
-                    f"frame {n}: index {value} does not fit in {width} bits"
-                )
-            word = (word << width) | value
-        words[n] = word
-    payload = words.astype(dtype).tobytes()
+def pack(codes: np.ndarray, mode: RateMode, codebook_hash: int) -> EncodedStream:
+    """Pack a (frames, fields) index array into a stream, validating every
+    index against the mode's fixed field widths."""
+    widths = mode.field_bits
+    codes = np.asarray(codes, dtype=np.int64)
+    if codes.ndim != 2 or codes.shape[1] != len(widths):
+        raise ValueError(
+            f"{mode.name} packs {len(widths)} fields per frame, "
+            f"got codes of shape {codes.shape}"
+        )
+    bad = np.argwhere((codes < 0) | (codes >= 1 << np.array(widths)))
+    if bad.size:
+        n, k = bad[0]
+        raise ValueError(f"frame {n}: index {codes[n, k]} does not fit in {widths[k]} bits")
+    words = np.zeros(len(codes), dtype=np.int64)
+    for k, width in enumerate(widths):
+        words = (words << width) | codes[:, k]
+    payload = words.astype(_word_dtype(mode)).tobytes()
     return EncodedStream(mode, len(codes), codebook_hash, payload)
 
 
+def unpack_codes(stream: EncodedStream) -> np.ndarray:
+    """Unpack the payload into a (frames, fields) index array."""
+    widths = np.array(stream.rate_mode.field_bits)
+    words = np.frombuffer(stream.payload, dtype=_word_dtype(stream.rate_mode),
+                          count=stream.frame_count).astype(np.int64)
+    shifts = widths.sum() - np.cumsum(widths)
+    return (words[:, None] >> shifts) & ((1 << widths) - 1)
+
+
 def stream_codes(stream: EncodedStream) -> tuple[FrameCode, ...]:
-    """Decode the packed payload back into per-frame indices."""
-    widths, dtype = _field_layout(stream.rate_mode)
-    words = np.frombuffer(stream.payload, dtype=dtype, count=stream.frame_count)
-    codes = []
-    for word in words.astype(np.uint64):
-        fields = []
-        remaining = int(word)
-        for width in reversed(widths):
-            fields.append(remaining & ((1 << width) - 1))
-            remaining >>= width
-        fields.reverse()
-        codes.append(FrameCode(fields[0], tuple(fields[1:])))
-    return tuple(codes)
+    """Per-frame view of the unpacked indices."""
+    return tuple(FrameCode(row[0], tuple(row[1:]))
+                 for row in unpack_codes(stream).tolist())
 
 
-def unpack(data: bytes) -> tuple[RateMode, int, tuple[FrameCode, ...]]:
-    """Parse a serialized stream into its mode, codebook hash, and codes."""
-    stream = EncodedStream.from_bytes(data)
-    return stream.rate_mode, stream.codebook_hash, stream_codes(stream)
+def encode_audio(audio: AudioBuffer, codebooks: CodebookSet,
+                 beam_width: int = DEFAULT_BEAM_WIDTH,
+                 config: FrameConfig | None = None) -> EncodedStream:
+    """Analyze and quantize audio into an encoded stream."""
+    features = compute_mfcc(audio, config or FrameConfig())
+    codes = _quantize(features.values, codebooks, beam_width)
+    return pack(codes, codebooks.rate_mode, codebooks.content_hash)
 
 
 def stream_bitrate(stream: EncodedStream, config: FrameConfig | None = None) -> float:

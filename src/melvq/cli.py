@@ -24,7 +24,7 @@ import numpy as np
 
 from . import synthesis
 from .analysis import FrameConfig, build_mel_filterbank, compute_mfcc, frame_signal, mfcc, log_mel_spectrogram
-from .bitstream import EncodedStream, pack, stream_bitrate, stream_codes
+from .bitstream import STREAM_MAGIC, EncodedStream, encode_audio, stream_bitrate, unpack_codes
 from .errors import (
     FormatError,
     HashMismatchError,
@@ -32,14 +32,7 @@ from .errors import (
     SampleRateError,
 )
 from .metrics import QualityReport, lsd, mcd, seg_snr, stoi
-from .quantizer import (
-    CODEBOOK_MAGIC,
-    DEFAULT_BEAM_WIDTH,
-    CodebookSet,
-    RateMode,
-    dequantize_frame,
-    quantize_frame,
-)
+from .quantizer import CODEBOOK_MAGIC, DEFAULT_BEAM_WIDTH, RateMode, dequantize
 from .signal_io import AudioBuffer, read_wav, write_wav
 from .synthesis import (
     MELSPEC_MAGIC,
@@ -50,7 +43,6 @@ from .synthesis import (
     import_mel,
     magnitude_spectrogram,
 )
-from .bitstream import STREAM_MAGIC
 from .trainer import (
     TrainingCorpus,
     load_codebooks,
@@ -68,16 +60,6 @@ EXIT_HASH = 6
 EXIT_TRAINING_DATA = 7
 
 
-def encode_audio(audio: AudioBuffer, codebooks: CodebookSet,
-                 beam_width: int = DEFAULT_BEAM_WIDTH,
-                 config: FrameConfig | None = None) -> EncodedStream:
-    """Analyze and quantize audio into an encoded stream."""
-    cfg = config or FrameConfig()
-    features = compute_mfcc(audio, cfg)
-    codes = [quantize_frame(row, codebooks, beam_width) for row in features.values]
-    return pack(codes, codebooks.rate_mode, codebooks.content_hash)
-
-
 def _read_manifest(path) -> list[str]:
     lines = Path(path).read_text().splitlines()
     entries = [line.strip() for line in lines]
@@ -88,6 +70,13 @@ def _parse_rate(value: str) -> RateMode:
     if value not in ("1000", "2000"):
         raise argparse.ArgumentTypeError("rate must be 1000 or 2000")
     return RateMode(int(value))
+
+
+def _positive_int(value: str) -> int:
+    number = int(value)
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
+    return number
 
 
 def _parse_stage_bits(value: str) -> tuple[int, ...]:
@@ -112,13 +101,8 @@ def cmd_train(args) -> int:
 
     pooled = np.concatenate(ordered_map(extract, paths), axis=0)
     corpus = TrainingCorpus(pooled, tuple(paths))
-    stage_bits = None
-    if args.stage_bits is not None:
-        stage_bits = args.stage_bits
-    elif args.vq_bits is not None:
-        stage_bits = (args.vq_bits,)
     codebooks, reports = train_codebook_set(
-        corpus, args.rate, sq_bits=args.sq_bits, stage_bits=stage_bits
+        corpus, args.rate, sq_bits=args.sq_bits, stage_bits=args.stage_bits
     )
     save_codebooks(codebooks, args.codebook)
     print(f"trained on {pooled.shape[0]} frames from {len(paths)} file(s)")
@@ -153,9 +137,7 @@ def cmd_decode(args) -> int:
     audio = decode_stream(stream, codebooks, gl_iterations=args.gl_iters)
     write_wav(args.output, audio)
     if args.emit_mel is not None:
-        coefficients = np.stack(
-            [dequantize_frame(code, codebooks) for code in stream_codes(stream)]
-        )
+        coefficients = dequantize(unpack_codes(stream), codebooks)
         mel = MelSpectrogram(idct_mel(coefficients), FrameConfig())
         export_mel(mel, args.emit_mel)
         print(f"wrote mel-spectrogram to {args.emit_mel}")
@@ -239,7 +221,7 @@ def cmd_inspect(args) -> int:
         codebooks = load_codebooks(args.input)
         print(f"codebooks: mode={codebooks.rate_mode.value} bit/s "
               f"dim={codebooks.vector_dim}")
-        print(f"scalar_bits={codebooks.scalar.bits} stage_bits={codebooks.stage_bits}")
+        print(f"scalar_bits={codebooks.stages[0].bits} stage_bits={codebooks.stage_bits}")
         print(f"content_hash={codebooks.content_hash:016x}")
     elif magic == MELSPEC_MAGIC:
         mel = import_mel(args.input)
@@ -267,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--codebook", required=True, help="output codebook path")
     train.add_argument("--sq-bits", type=int, default=None,
                        help="override scalar bit width (production default 4 or 6)")
-    train.add_argument("--vq-bits", type=int, default=None,
+    train.add_argument("--vq-bits", type=_parse_stage_bits, dest="stage_bits",
                        help="override single-stage VQ bit width (rate 1000)")
     train.add_argument("--stage-bits", type=_parse_stage_bits, default=None,
                        help="override per-stage bit widths, e.g. 6,6 (rate 2000)")
@@ -278,14 +260,15 @@ def build_parser() -> argparse.ArgumentParser:
     encode.add_argument("--codebook", required=True)
     encode.add_argument("--rate", type=_parse_rate, default=None,
                         help="require the codebook to match this rate")
-    encode.add_argument("--beam", type=int, default=DEFAULT_BEAM_WIDTH,
+    encode.add_argument("--beam", type=_positive_int, default=DEFAULT_BEAM_WIDTH,
                         help=f"MSVQ beam width (default {DEFAULT_BEAM_WIDTH})")
 
     decode = sub.add_parser("decode", help="decode a stream to a WAV")
     decode.add_argument("input", help="input stream path")
     decode.add_argument("output", help="output WAV path")
     decode.add_argument("--codebook", required=True)
-    decode.add_argument("--gl-iters", type=int, default=synthesis.DEFAULT_GL_ITERATIONS,
+    decode.add_argument("--gl-iters", type=_positive_int,
+                        default=synthesis.DEFAULT_GL_ITERATIONS,
                         help="Griffin-Lim iterations "
                              f"(default {synthesis.DEFAULT_GL_ITERATIONS})")
     decode.add_argument("--emit-mel", default=None,

@@ -1,20 +1,26 @@
-"""Frame quantization: scalar energy codebook plus one- or two-stage VQ.
+"""Frame quantization through one list of codebook stages.
 
 Each 80-dim MFCC frame is split into its first coefficient (the frame energy
-term, scalar quantized) and the remaining 79 coefficients (vector quantized).
-The 1000 bit/s mode spends 4 + 12 bits per frame on a scalar codebook and a
-single VQ stage; the 2000 bit/s mode spends 6 + 13 + 13 bits using a two-stage
-multi-stage VQ searched with an M-best beam. Distortion is unweighted squared
-Euclidean distance throughout, and every tie breaks toward the lowest index so
-encoding is deterministic.
+term) and the remaining 79 coefficients. A codebook set is a list of stages:
+stage 0 is a one-dimensional codebook of sorted energy levels, and the later
+stages are cascaded 79-dim VQ stages, each quantizing the residual of the
+ones before. The 1000 bit/s mode spends 4 + 12 bits per frame on the energy
+stage and one VQ stage; the 2000 bit/s mode spends 6 + 13 + 13 bits on two
+VQ stages searched with an M-best beam. One search serves every stage.
+Distortion is unweighted squared Euclidean distance throughout, and every tie
+breaks toward the lowest index so encoding is deterministic. Frame codes are
+one (frames, stages) integer array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
+
+from .errors import FormatError
 
 DEFAULT_BEAM_WIDTH = 8
 
@@ -41,53 +47,33 @@ class RateMode(IntEnum):
     R2000 = 2000
 
     @property
-    def sq_field_bits(self) -> int:
-        return 4 if self is RateMode.R1000 else 6
-
-    @property
-    def vq_field_bits(self) -> tuple[int, ...]:
-        return (12,) if self is RateMode.R1000 else (13, 13)
+    def field_bits(self) -> tuple[int, ...]:
+        """Wire width of each frame field: the energy index, then one index
+        per VQ stage. Also the production codebook sizes."""
+        return _FIELD_BITS[self]
 
     @property
     def bits_per_frame(self) -> int:
-        return self.sq_field_bits + sum(self.vq_field_bits)
+        return sum(self.field_bits)
 
     @property
     def wire_byte(self) -> int:
-        return 0 if self is RateMode.R1000 else 1
+        return list(RateMode).index(self)
 
     @classmethod
     def from_wire_byte(cls, value: int) -> "RateMode":
-        if value == 0:
-            return cls.R1000
-        if value == 1:
-            return cls.R2000
-        raise ValueError(f"unknown rate-mode byte {value:#04x}")
+        modes = list(cls)
+        if value >= len(modes):
+            raise ValueError(f"unknown rate-mode byte {value:#04x}")
+        return modes[value]
 
 
-@dataclass(frozen=True, eq=False)
-class ScalarCodebook:
-    """Sorted reconstruction levels for the scalar (energy) quantizer."""
-
-    levels: np.ndarray
-    bits: int
-
-    def __post_init__(self) -> None:
-        levels = np.asarray(self.levels, dtype=np.float32)
-        if self.bits < 1:
-            raise ValueError("bits must be >= 1")
-        if levels.shape != (2 ** self.bits,):
-            raise ValueError(f"expected {2 ** self.bits} levels, got shape {levels.shape}")
-        if not np.all(np.isfinite(levels)):
-            raise ValueError("levels must be finite")
-        if np.any(np.diff(levels) <= 0):
-            raise ValueError("levels must be strictly increasing")
-        object.__setattr__(self, "levels", levels)
+_FIELD_BITS = {RateMode.R1000: (4, 12), RateMode.R2000: (6, 13, 13)}
 
 
 @dataclass(frozen=True, eq=False)
 class VectorCodebook:
-    """One VQ stage: 2**bits codewords of a fixed dimension."""
+    """One codebook stage: 2**bits codewords of a fixed dimension."""
 
     codewords: np.ndarray
     bits: int
@@ -109,193 +95,141 @@ class VectorCodebook:
         return self.codewords.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class MsvqCodebook:
-    """Two cascaded VQ stages; stage 2 quantizes stage-1 residuals."""
-
-    stages: tuple[VectorCodebook, VectorCodebook]
-
-    def __post_init__(self) -> None:
-        if len(self.stages) != 2:
-            raise ValueError("exactly two stages are supported")
-        if self.stages[0].dim != self.stages[1].dim:
-            raise ValueError("stage dimensions differ")
-
-    @property
-    def dim(self) -> int:
-        return self.stages[0].dim
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return tuple(stage.bits for stage in self.stages)
-
-
-@dataclass(frozen=True)
-class FrameCode:
-    """Quantizer indices for one frame: scalar index plus VQ stage indices."""
+class FrameCode(NamedTuple):
+    """Per-frame view of one code row: energy index plus VQ stage indices."""
 
     sq_index: int
     vq_indices: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.sq_index < 0 or any(i < 0 for i in self.vq_indices):
-            raise ValueError("indices must be non-negative")
-
 
 @dataclass(eq=False)
 class CodebookSet:
-    """All codebooks for one rate mode, plus a content digest.
+    """All codebook stages for one rate mode, plus a content digest.
 
-    Production codebooks use the full per-mode field widths (4+12 or 6+13+13
-    bits); smaller desk-scale codebooks are accepted for experiments as long
-    as every index still fits its fixed wire field. The content hash is the
+    stages[0] quantizes the energy coefficient: a 2**b x 1 codebook whose
+    levels are strictly increasing. stages[1:] are the cascaded VQ stages
+    for the remaining coefficients; the mode's field table fixes how many.
+    Production codebooks use the full field widths (4+12 or 6+13+13 bits);
+    smaller desk-scale codebooks are accepted for experiments as long as
+    every index still fits its fixed wire field. The content hash is the
     64-bit FNV-1a digest of the serialized codebook payload and ties encoded
-    streams to the exact codebooks that produced them.
+    streams to the exact codebooks that produced them; pass it only when it
+    is the already verified digest of this payload.
     """
 
     rate_mode: RateMode
-    scalar: ScalarCodebook
-    vector: VectorCodebook | None = None
-    msvq: MsvqCodebook | None = None
-    content_hash: int = field(default=-1)
+    stages: tuple[VectorCodebook, ...]
+    content_hash: int | None = None
 
     def __post_init__(self) -> None:
-        if self.rate_mode is RateMode.R1000:
-            if self.vector is None or self.msvq is not None:
-                raise ValueError("R1000 requires a single-stage vector codebook")
-        else:
-            if self.msvq is None or self.vector is not None:
-                raise ValueError("R2000 requires a two-stage MSVQ codebook")
-        if self.scalar.bits > self.rate_mode.sq_field_bits:
-            raise ValueError("scalar codebook wider than the wire field")
-        for stage_bits, field_bits in zip(self.stage_bits, self.rate_mode.vq_field_bits):
-            if stage_bits > field_bits:
-                raise ValueError("vector codebook wider than the wire field")
-        self.content_hash = fnv1a64(codebook_payload(self))
-
-    @property
-    def stage_codebooks(self) -> tuple[VectorCodebook, ...]:
-        return (self.vector,) if self.vector is not None else self.msvq.stages
+        widths = self.rate_mode.field_bits
+        if len(self.stages) != len(widths):
+            raise ValueError(
+                f"{self.rate_mode.name} takes {len(widths)} codebook stages, "
+                f"got {len(self.stages)}"
+            )
+        if self.stages[0].dim != 1:
+            raise ValueError("the energy stage must be one-dimensional")
+        if np.any(np.diff(self.stages[0].codewords[:, 0]) <= 0):
+            raise ValueError("energy levels must be strictly increasing")
+        if any(stage.dim != self.vector_dim for stage in self.stages[2:]):
+            raise ValueError("stage dimensions differ")
+        for stage, width in zip(self.stages, widths):
+            if stage.bits > width:
+                raise ValueError(f"a {stage.bits}-bit codebook is wider than "
+                                 f"its {width}-bit wire field")
+        if self.content_hash is None:
+            self.content_hash = fnv1a64(codebook_payload(self))
 
     @property
     def stage_bits(self) -> tuple[int, ...]:
-        return tuple(stage.bits for stage in self.stage_codebooks)
+        """Bit widths of the VQ stages (the energy stage excluded)."""
+        return tuple(stage.bits for stage in self.stages[1:])
 
     @property
     def vector_dim(self) -> int:
-        return self.stage_codebooks[0].dim
+        return self.stages[1].dim
 
 
 def codebook_payload(codebooks: CodebookSet) -> bytes:
     """Serialize a codebook set minus its trailing hash field.
 
     Layout: magic "MVQB", version byte, rate-mode byte (0 for 1000 bit/s,
-    1 for 2000 bit/s), scalar bit width, vector dimension as 16-bit LE, one
-    bit-width byte per VQ stage, scalar levels as float32 LE, then each
-    stage's codewords as row-major float32 LE. The file format appends the
-    64-bit FNV-1a digest of these bytes.
+    1 for 2000 bit/s), energy bit width, vector dimension as 16-bit LE, one
+    bit-width byte per VQ stage, then each stage's table as row-major
+    float32 LE, the energy levels first. The file format appends the 64-bit
+    FNV-1a digest of these bytes.
     """
     parts = [
         CODEBOOK_MAGIC,
-        bytes([CODEBOOK_VERSION, codebooks.rate_mode.wire_byte, codebooks.scalar.bits]),
+        bytes([CODEBOOK_VERSION, codebooks.rate_mode.wire_byte, codebooks.stages[0].bits]),
         int(codebooks.vector_dim).to_bytes(2, "little"),
         bytes(codebooks.stage_bits),
-        codebooks.scalar.levels.astype("<f4").tobytes(),
     ]
-    for stage in codebooks.stage_codebooks:
-        parts.append(stage.codewords.astype("<f4").tobytes())
+    parts += [stage.codewords.astype("<f4").tobytes() for stage in codebooks.stages]
     return b"".join(parts)
 
 
-def sq_encode(value: float, codebook: ScalarCodebook) -> int:
-    """Index of the nearest level; out-of-range values saturate to the ends."""
-    distances = (codebook.levels.astype(np.float64) - float(value)) ** 2
-    return int(np.argmin(distances))
+def _search(vec: np.ndarray, stages: tuple[VectorCodebook, ...],
+            beam_width: int) -> tuple[tuple[int, ...], float]:
+    """M-best search of cascaded stages; returns the indices and their
+    squared error.
 
-
-def sq_decode(index: int, codebook: ScalarCodebook) -> float:
-    if not 0 <= index < codebook.levels.size:
-        raise ValueError(f"scalar index {index} out of range")
-    return float(codebook.levels[index])
-
-
-def vq_encode(vec: np.ndarray, codebook: VectorCodebook) -> int:
-    """Full-search nearest codeword under squared Euclidean distance."""
-    vec = np.asarray(vec, dtype=np.float64)
-    if vec.shape != (codebook.dim,):
-        raise ValueError(f"expected a {codebook.dim}-dim vector, got shape {vec.shape}")
-    distances = ((codebook.codewords - vec) ** 2).sum(axis=1)
-    return int(np.argmin(distances))
-
-
-def vq_decode(index: int, codebook: VectorCodebook) -> np.ndarray:
-    if not 0 <= index < codebook.codewords.shape[0]:
-        raise ValueError(f"vector index {index} out of range")
-    return codebook.codewords[index].astype(np.float64)
-
-
-def msvq_encode(vec: np.ndarray, codebook: MsvqCodebook,
-                beam_width: int = DEFAULT_BEAM_WIDTH) -> tuple[int, int]:
-    """M-best search over two stages.
-
-    The beam keeps the beam_width stage-1 codewords closest to the input
-    (ties toward lower index), runs a full stage-2 search on each residual,
-    and returns the pair minimizing the total distortion
-    ||vec - c1 - c2||^2, breaking ties toward the lexicographically
-    smallest index pair. A beam as wide as stage 1 is an exhaustive joint
-    search; beam_width 1 is the greedy sequential search.
+    The beam keeps the beam_width codewords of the first stage closest to
+    vec (ties toward lower index) and searches the later stages on each
+    residual; the last stage is a full search. The indices minimizing
+    ||vec - c1 - c2 - ...||^2 win, ties toward the lexicographically
+    smallest. A beam as wide as the first stage is an exhaustive joint
+    search of two stages; beam_width 1 is the greedy sequential search.
     """
+    codewords = stages[0].codewords
+    dists = ((codewords - vec) ** 2).sum(axis=1)
+    if len(stages) == 1:
+        index = int(np.argmin(dists))
+        return (index,), dists[index]
+    best, best_dist = (0,) * len(stages), np.inf
+    for i in np.sort(np.argsort(dists, kind="stable")[:beam_width]):
+        rest, dist = _search(vec - codewords[i], stages[1:], beam_width)
+        if dist < best_dist:
+            best, best_dist = (int(i),) + rest, dist
+    return best, best_dist
+
+
+def _quantize(frames: np.ndarray, codebooks: CodebookSet,
+              beam_width: int = DEFAULT_BEAM_WIDTH) -> np.ndarray:
+    """Codes of (frames, 1 + dim) MFCC rows as a (frames, stages) array:
+    column 0 through the energy stage, the rest through the VQ stages."""
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
-    vec = np.asarray(vec, dtype=np.float64)
-    stage1, stage2 = codebook.stages
-    if vec.shape != (stage1.dim,):
-        raise ValueError(f"expected a {stage1.dim}-dim vector, got shape {vec.shape}")
-    d1 = ((stage1.codewords - vec) ** 2).sum(axis=1)
-    beam = np.sort(np.argsort(d1, kind="stable")[:beam_width])
-    best_pair = (0, 0)
-    best_dist = np.inf
-    for i1 in beam:
-        residual = vec - stage1.codewords[i1]
-        d2 = ((stage2.codewords - residual) ** 2).sum(axis=1)
-        i2 = int(np.argmin(d2))
-        if d2[i2] < best_dist:
-            best_dist = d2[i2]
-            best_pair = (int(i1), i2)
-    return best_pair
-
-
-def msvq_decode(indices: tuple[int, int], codebook: MsvqCodebook) -> np.ndarray:
-    """Sum of the selected stage codewords."""
-    if len(indices) != len(codebook.stages):
-        raise ValueError("one index per stage is required")
-    return sum(vq_decode(i, stage) for i, stage in zip(indices, codebook.stages))
+    codes = np.empty((len(frames), len(codebooks.stages)), dtype=np.int64)
+    for n, z in enumerate(frames):
+        codes[n, :1] = _search(z[:1], codebooks.stages[:1], 1)[0]
+        codes[n, 1:] = _search(z[1:], codebooks.stages[1:], beam_width)[0]
+    return codes
 
 
 def quantize_frame(z: np.ndarray, codebooks: CodebookSet,
                    beam_width: int = DEFAULT_BEAM_WIDTH) -> FrameCode:
-    """Quantize one MFCC frame: z[0] through the scalar codebook, the rest
+    """Quantize one MFCC frame: z[0] through the energy stage, the rest
     through the mode's vector stage(s)."""
     z = np.asarray(z, dtype=np.float64)
     expected = 1 + codebooks.vector_dim
     if z.shape != (expected,):
         raise ValueError(f"expected a {expected}-dim frame, got shape {z.shape}")
-    sq_index = sq_encode(z[0], codebooks.scalar)
-    if codebooks.rate_mode is RateMode.R1000:
-        vq_indices = (vq_encode(z[1:], codebooks.vector),)
-    else:
-        vq_indices = msvq_encode(z[1:], codebooks.msvq, beam_width)
-    return FrameCode(sq_index, vq_indices)
+    code = _quantize(z[None, :], codebooks, beam_width)[0].tolist()
+    return FrameCode(code[0], tuple(code[1:]))
 
 
-def dequantize_frame(code: FrameCode, codebooks: CodebookSet) -> np.ndarray:
-    """Reconstruct the 1 + dim coefficient vector selected by a FrameCode."""
-    if len(code.vq_indices) != len(codebooks.stage_codebooks):
-        raise ValueError("frame code does not match the codebook's stage count")
-    out = np.empty(1 + codebooks.vector_dim)
-    out[0] = sq_decode(code.sq_index, codebooks.scalar)
-    if codebooks.rate_mode is RateMode.R1000:
-        out[1:] = vq_decode(code.vq_indices[0], codebooks.vector)
-    else:
-        out[1:] = msvq_decode(code.vq_indices, codebooks.msvq)
-    return out
+def dequantize(codes: np.ndarray, codebooks: CodebookSet) -> np.ndarray:
+    """Reconstruct (frames, 1 + dim) coefficients from a (frames, stages)
+    code array: the energy level, then the VQ codewords summed in stage
+    order. An index beyond its codebook raises FormatError."""
+    tables = []
+    for k, stage in enumerate(codebooks.stages):
+        bad = codes[:, k][(codes[:, k] < 0) | (codes[:, k] >= len(stage.codewords))]
+        if bad.size:
+            raise FormatError(
+                f"stage {k} index {bad[0]} out of range for a {stage.bits}-bit codebook"
+            )
+        tables.append(stage.codewords[codes[:, k]].astype(np.float64))
+    return np.hstack([tables[0], sum(tables[2:], tables[1])])

@@ -25,9 +25,9 @@ from .analysis import (
     build_mel_filterbank,
     hamming_window,
 )
-from .bitstream import EncodedStream, stream_codes
+from .bitstream import EncodedStream, unpack_codes
 from .errors import FormatError, HashMismatchError
-from .quantizer import CodebookSet, dequantize_frame
+from .quantizer import CodebookSet, dequantize
 from .signal_io import AudioBuffer
 
 DEFAULT_GL_ITERATIONS = 60
@@ -218,8 +218,7 @@ def decode_stream(stream: EncodedStream, codebooks: CodebookSet,
         )
     if 1 + codebooks.vector_dim != cfg.num_bands:
         raise ValueError("codebook dimension does not match the frame config")
-    coefficients = np.stack([dequantize_frame(code, codebooks)
-                             for code in stream_codes(stream)])
+    coefficients = dequantize(unpack_codes(stream), codebooks)
     mel = MelSpectrogram(idct_mel(coefficients), cfg)
     spectrogram = mel_to_linear(mel, build_mel_filterbank(cfg))
     audio, _ = griffin_lim(spectrogram, gl_iterations)

@@ -23,9 +23,7 @@ from .quantizer import (
     CODEBOOK_MAGIC,
     CODEBOOK_VERSION,
     CodebookSet,
-    MsvqCodebook,
     RateMode,
-    ScalarCodebook,
     VectorCodebook,
     codebook_payload,
     fnv1a64,
@@ -37,8 +35,8 @@ SPLIT_EPSILON = 0.01     # scale factor for the split copy of each codeword
 
 _CHUNK_ELEMS = 1 << 22   # bound on rows*codewords handled per distance block
 
-DEFAULT_STAGE_BITS = {RateMode.R1000: (12,), RateMode.R2000: (13, 13)}
-DEFAULT_SQ_BITS = {RateMode.R1000: 4, RateMode.R2000: 6}
+# Report names printed by `melvq train`, by number of VQ stages.
+_VQ_REPORT_NAMES = {1: "vector", 2: "msvq"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,8 +139,9 @@ def _reseed(vectors: np.ndarray, codewords: np.ndarray, occupied: np.ndarray) ->
     return codewords
 
 
-def train_scalar(samples: np.ndarray, bits: int) -> tuple[ScalarCodebook, TrainReport]:
-    """Lloyd-Max scalar levels initialized at the (i + 0.5) / 2**bits quantiles."""
+def train_scalar(samples: np.ndarray, bits: int) -> tuple[VectorCodebook, TrainReport]:
+    """Lloyd-Max scalar levels initialized at the (i + 0.5) / 2**bits quantiles,
+    returned sorted as a 2**bits x 1 codebook."""
     samples = np.asarray(samples, dtype=np.float64).reshape(-1)
     if bits < 1:
         raise ValueError("bits must be >= 1")
@@ -156,7 +155,7 @@ def train_scalar(samples: np.ndarray, bits: int) -> tuple[ScalarCodebook, TrainR
     levels = np.quantile(samples, quantiles)
     refined, trace = _lloyd(samples[:, None], levels[:, None])
     levels = np.sort(refined[:, 0])
-    codebook = ScalarCodebook(levels.astype(np.float32), bits)
+    codebook = VectorCodebook(levels.astype(np.float32)[:, None], bits)
     report = TrainReport(tuple(trace), len(trace), trace[-1])
     return codebook, report
 
@@ -189,67 +188,65 @@ def train_lbg(vectors: np.ndarray, bits: int) -> tuple[VectorCodebook, TrainRepo
     return codebook, report
 
 
-def train_msvq(vectors: np.ndarray,
-               bits_per_stage: tuple[int, int] = (13, 13)) -> tuple[MsvqCodebook, TrainReport]:
-    """Train two cascaded stages; stage 2 fits the greedy stage-1 residuals."""
-    if len(bits_per_stage) != 2:
-        raise ValueError("exactly two stages are supported")
-    vectors = np.asarray(vectors, dtype=np.float64)
-    stage1, report1 = train_lbg(vectors, bits_per_stage[0])
-    assign, _ = _assign(vectors, stage1.codewords.astype(np.float64))
-    residuals = vectors - stage1.codewords.astype(np.float64)[assign]
-    stage2, report2 = train_lbg(residuals, bits_per_stage[1])
-    trace = report1.distortions + report2.distortions
-    report = TrainReport(trace, len(trace), trace[-1], stage_reports=(report1, report2))
-    return MsvqCodebook((stage1, stage2)), report
+def train_msvq(vectors: np.ndarray, bits_per_stage: tuple[int, ...] = (13, 13),
+               ) -> tuple[tuple[VectorCodebook, ...], TrainReport]:
+    """Train cascaded VQ stages; each stage after the first fits the residuals
+    of greedy assignment to the stages before it."""
+    if not bits_per_stage:
+        raise ValueError("at least one stage is required")
+    residuals = np.asarray(vectors, dtype=np.float64)
+    stages, reports = [], []
+    for bits in bits_per_stage:
+        if stages:
+            codewords = stages[-1].codewords.astype(np.float64)
+            residuals = residuals - codewords[_assign(residuals, codewords)[0]]
+        stage, report = train_lbg(residuals, bits)
+        stages.append(stage)
+        reports.append(report)
+    trace = sum((report.distortions for report in reports), ())
+    report = TrainReport(trace, len(trace), trace[-1], stage_reports=tuple(reports))
+    return tuple(stages), report
 
 
 def train_codebook_set(corpus: TrainingCorpus, mode: RateMode,
                        sq_bits: int | None = None,
                        stage_bits: tuple[int, ...] | None = None,
                        ) -> tuple[CodebookSet, dict[str, TrainReport]]:
-    """Train the scalar and vector codebooks for one rate mode.
+    """Train the energy and vector codebook stages for one rate mode.
 
-    Bit widths default to the production layout (4+12 or 6+13+13); smaller
-    widths give desk-scale codebooks that still pack into the same stream
-    fields.
+    Bit widths default to the mode's field widths, the production layout
+    (4+12 or 6+13+13); smaller widths give desk-scale codebooks that still
+    pack into the same stream fields.
     """
-    sq_bits = DEFAULT_SQ_BITS[mode] if sq_bits is None else sq_bits
-    stage_bits = DEFAULT_STAGE_BITS[mode] if stage_bits is None else tuple(stage_bits)
-    if len(stage_bits) != len(mode.vq_field_bits):
+    widths = mode.field_bits
+    sq_bits = widths[0] if sq_bits is None else sq_bits
+    stage_bits = widths[1:] if stage_bits is None else tuple(stage_bits)
+    if len(stage_bits) != len(widths) - 1:
         raise ValueError(
-            f"{mode.name} takes {len(mode.vq_field_bits)} stage bit width(s), "
-            f"got {stage_bits}"
+            f"{mode.name} takes {len(widths) - 1} stage bit width(s), got {stage_bits}"
         )
     vectors = corpus.vectors
     if vectors.shape[1] < 2:
         raise ValueError("corpus vectors must have at least 2 coefficients")
-    scalar, scalar_report = train_scalar(vectors[:, 0], sq_bits)
-    reports = {"scalar": scalar_report}
-    if mode is RateMode.R1000:
-        vector, vq_report = train_lbg(vectors[:, 1:], stage_bits[0])
-        reports["vector"] = vq_report
-        codebooks = CodebookSet(mode, scalar, vector=vector)
-    else:
-        msvq, msvq_report = train_msvq(vectors[:, 1:], stage_bits)
-        reports["msvq"] = msvq_report
-        codebooks = CodebookSet(mode, scalar, msvq=msvq)
-    return codebooks, reports
+    energy, energy_report = train_scalar(vectors[:, 0], sq_bits)
+    stages, vq_report = train_msvq(vectors[:, 1:], stage_bits)
+    reports = {"scalar": energy_report, _VQ_REPORT_NAMES[len(stages)]: vq_report}
+    return CodebookSet(mode, (energy,) + stages), reports
 
 
 def save_codebooks(codebooks: CodebookSet, path) -> None:
     """Write the codebook container: payload then its 64-bit FNV-1a digest."""
     payload = codebook_payload(codebooks)
-    digest = fnv1a64(payload)
-    Path(path).write_bytes(payload + digest.to_bytes(8, "little"))
+    Path(path).write_bytes(payload + codebooks.content_hash.to_bytes(8, "little"))
 
 
 def load_codebooks(path, expected_mode: RateMode | None = None) -> CodebookSet:
     """Read and verify a codebook container.
 
-    The stored digest is checked against the payload bytes, and the parsed
-    content must account for the whole file. Pass expected_mode to reject a
-    file trained for the other rate.
+    The stored digest is checked against the payload bytes before the
+    contents are parsed, and the parsed set must serialize back to exactly
+    those bytes. Pass expected_mode to reject a file trained for the other
+    rate.
     """
     data = Path(path).read_bytes()
     header_len = len(CODEBOOK_MAGIC) + 3 + 2
@@ -257,7 +254,7 @@ def load_codebooks(path, expected_mode: RateMode | None = None) -> CodebookSet:
         raise FormatError(f"{path}: truncated codebook file")
     if data[:4] != CODEBOOK_MAGIC:
         raise FormatError(f"{path}: bad magic {data[:4]!r}")
-    version, mode_byte, sq_bits = data[4], data[5], data[6]
+    version, mode_byte = data[4], data[5]
     if version != CODEBOOK_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
     try:
@@ -265,12 +262,11 @@ def load_codebooks(path, expected_mode: RateMode | None = None) -> CodebookSet:
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     dim = int.from_bytes(data[7:9], "little")
-    num_stages = len(mode.vq_field_bits)
-    offset = 9
-    stage_bits = tuple(data[offset:offset + num_stages])
-    offset += num_stages
-    sizes = [2 ** sq_bits] + [dim * 2 ** b for b in stage_bits]
-    expected_len = offset + 4 * sum(sizes) + 8
+    num_vq = len(mode.field_bits) - 1
+    offset = header_len + num_vq
+    bits = (data[6], *data[header_len:offset])
+    dims = (1,) + (dim,) * num_vq
+    expected_len = offset + 4 * sum(2 ** b * d for b, d in zip(bits, dims)) + 8
     if len(data) < expected_len:
         raise FormatError(f"{path}: truncated codebook file")
     if len(data) > expected_len:
@@ -281,20 +277,14 @@ def load_codebooks(path, expected_mode: RateMode | None = None) -> CodebookSet:
         raise HashMismatchError(
             f"{path}: stored hash {stored:016x} != computed {computed:016x}"
         )
-    levels = np.frombuffer(data, dtype="<f4", count=2 ** sq_bits, offset=offset)
-    offset += 4 * 2 ** sq_bits
     stages = []
-    for b in stage_bits:
-        flat = np.frombuffer(data, dtype="<f4", count=dim * 2 ** b, offset=offset)
-        stages.append(VectorCodebook(flat.reshape(2 ** b, dim).copy(), b))
-        offset += 4 * dim * 2 ** b
-    scalar = ScalarCodebook(levels.copy(), sq_bits)
-    if mode is RateMode.R1000:
-        codebooks = CodebookSet(mode, scalar, vector=stages[0])
-    else:
-        codebooks = CodebookSet(mode, scalar, msvq=MsvqCodebook(tuple(stages)))
-    if codebooks.content_hash != stored:
-        raise HashMismatchError(f"{path}: payload re-serialization digest mismatch")
+    for b, d in zip(bits, dims):
+        flat = np.frombuffer(data, dtype="<f4", count=2 ** b * d, offset=offset)
+        stages.append(VectorCodebook(flat.reshape(2 ** b, d).copy(), b))
+        offset += flat.nbytes
+    codebooks = CodebookSet(mode, tuple(stages), content_hash=computed)
+    if codebook_payload(codebooks) != data[:-8]:
+        raise HashMismatchError(f"{path}: payload does not re-serialize to the hashed bytes")
     if expected_mode is not None and mode is not expected_mode:
         raise FormatError(
             f"{path}: codebook is for {mode.value} bit/s, "

@@ -30,17 +30,10 @@ from melvq.analysis import (
     log_mel_spectrogram,
     mfcc,
 )
-from melvq.bitstream import pack, stream_bitrate, unpack
-from melvq.cli import encode_audio, main
+from melvq.bitstream import EncodedStream, encode_audio, pack, stream_bitrate, unpack_codes
+from melvq.cli import main
 from melvq.metrics import mcd, seg_snr, stoi
-from melvq.quantizer import (
-    FrameCode,
-    MsvqCodebook,
-    RateMode,
-    VectorCodebook,
-    msvq_encode,
-    vq_encode,
-)
+from melvq.quantizer import CodebookSet, RateMode, VectorCodebook, quantize_frame
 from melvq.signal_io import AudioBuffer, write_wav
 from melvq.signals import speech_like, tone
 from melvq.synthesis import (
@@ -85,23 +78,18 @@ def test_criterion_2_bitstream_roundtrip():
     sequences = 0
     mismatches = 0
     for mode in (RateMode.R1000, RateMode.R2000):
-        widths = (mode.sq_field_bits,) + mode.vq_field_bits
+        widths = mode.field_bits
         for _ in range(10_000):
             count = int(rng.integers(0, 9))
-            codes = [
-                FrameCode(
-                    int(rng.integers(0, 1 << widths[0])),
-                    tuple(int(rng.integers(0, 1 << w)) for w in widths[1:]),
-                )
-                for _ in range(count)
-            ]
+            codes = np.array(
+                [[int(rng.integers(0, 1 << w)) for w in widths] for _ in range(count)],
+                dtype=np.int64,
+            ).reshape(count, len(widths))
             digest = int(rng.integers(0, 2 ** 64, dtype=np.uint64))
-            got_mode, got_digest, got_codes = unpack(
-                pack(codes, mode, digest).to_bytes()
-            )
+            got = EncodedStream.from_bytes(pack(codes, mode, digest).to_bytes())
             sequences += 1
-            if (got_mode is not mode or got_digest != digest
-                    or tuple(codes) != got_codes):
+            if (got.rate_mode is not mode or got.codebook_hash != digest
+                    or not np.array_equal(unpack_codes(got), codes)):
                 mismatches += 1
     ok = sequences >= 20_000 and mismatches == 0
     _report(2, ok,
@@ -111,31 +99,38 @@ def test_criterion_2_bitstream_roundtrip():
 # 3. The fast searches agree with brute force.
 def test_criterion_3_quantizer_matches_exhaustive_search():
     rng = np.random.default_rng(7)
+    energy = VectorCodebook(np.array([[0.0], [1.0]]), bits=1)
+
+    def vq_code(vec, books, beam_width=8):
+        return quantize_frame(np.concatenate([[0.0], vec]), books, beam_width).vq_indices
+
     vq_mismatches = 0
     for _ in range(20):
         book = VectorCodebook(rng.standard_normal((16, 8)), bits=4)
+        books = CodebookSet(RateMode.R1000, (energy, book))
         for _ in range(1000):
             vec = rng.standard_normal(8)
             dists = [float(((cw - vec) ** 2).sum()) for cw in
                      book.codewords.astype(np.float64)]
-            if vq_encode(vec, book) != int(np.argmin(dists)):
+            if vq_code(vec, books) != (int(np.argmin(dists)),):
                 vq_mismatches += 1
 
     msvq_off = 0
     for _ in range(50):
-        toy = MsvqCodebook((
+        toy = CodebookSet(RateMode.R2000, (
+            energy,
             VectorCodebook(rng.standard_normal((4, 6)), bits=2),
             VectorCodebook(rng.standard_normal((4, 6)), bits=2),
         ))
-        s1 = toy.stages[0].codewords.astype(np.float64)
-        s2 = toy.stages[1].codewords.astype(np.float64)
+        s1 = toy.stages[1].codewords.astype(np.float64)
+        s2 = toy.stages[2].codewords.astype(np.float64)
         for _ in range(20):
             vec = rng.standard_normal(6)
             best = min(
                 float(((vec - s1[i] - s2[j]) ** 2).sum())
                 for i in range(4) for j in range(4)
             )
-            i1, i2 = msvq_encode(vec, toy, beam_width=4)
+            i1, i2 = vq_code(vec, toy, beam_width=4)
             got = float(((vec - s1[i1] - s2[i2]) ** 2).sum())
             if abs(got - best) > 1e-12 * max(best, 1.0):
                 msvq_off += 1

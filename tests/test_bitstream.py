@@ -16,31 +16,33 @@ from melvq.bitstream import (
     pack,
     stream_bitrate,
     stream_codes,
-    unpack,
+    unpack_codes,
 )
 from melvq.errors import FormatError
 from melvq.quantizer import FrameCode, RateMode
 
 
 def frame_codes_strategy(mode: RateMode):
-    sq = st.integers(min_value=0, max_value=2 ** mode.sq_field_bits - 1)
-    vqs = st.tuples(*[
+    return st.tuples(*[
         st.integers(min_value=0, max_value=2 ** bits - 1)
-        for bits in mode.vq_field_bits
+        for bits in mode.field_bits
     ])
-    return st.builds(FrameCode, sq, vqs)
+
+
+def _rows(codes, mode: RateMode) -> np.ndarray:
+    return np.array(codes, dtype=np.int64).reshape(-1, len(mode.field_bits))
 
 
 def test_hand_packed_single_frame():
     # sq index 5 in 4 bits then vq index 1000 in 12 bits:
     # 0101 0011 1110 1000 -> 0x53 0xE8
-    stream = pack([FrameCode(5, (1000,))], RateMode.R1000, 0)
+    stream = pack([[5, 1000]], RateMode.R1000, 0)
     assert stream.payload == bytes([0x53, 0xE8])
     assert stream_codes(stream) == (FrameCode(5, (1000,)),)
 
 
 def test_header_layout():
-    stream = pack([FrameCode(1, (2,))], RateMode.R1000, 0xDEADBEEFCAFEF00D)
+    stream = pack([[1, 2]], RateMode.R1000, 0xDEADBEEFCAFEF00D)
     raw = stream.to_bytes()
     assert raw[:4] == STREAM_MAGIC
     assert raw[4] == STREAM_VERSION
@@ -51,28 +53,32 @@ def test_header_layout():
 
 
 def test_r2000_frames_are_four_bytes():
-    codes = [FrameCode(63, (8191, 8191)), FrameCode(0, (0, 1))]
+    codes = [[63, 8191, 8191], [0, 0, 1]]
     stream = pack(codes, RateMode.R2000, 7)
     assert len(stream.payload) == 8
     # first frame is all ones: 6+13+13 = 32 set bits
     assert stream.payload[:4] == b"\xff\xff\xff\xff"
-    assert stream_codes(stream) == tuple(codes)
+    assert stream_codes(stream) == (FrameCode(63, (8191, 8191)), FrameCode(0, (0, 1)))
 
 
 def test_pack_rejects_out_of_range_indices():
     with pytest.raises(ValueError, match="does not fit"):
-        pack([FrameCode(16, (0,))], RateMode.R1000, 0)
+        pack([[16, 0]], RateMode.R1000, 0)
     with pytest.raises(ValueError, match="does not fit"):
-        pack([FrameCode(0, (4096,))], RateMode.R1000, 0)
+        pack([[0, 4096]], RateMode.R1000, 0)
+    with pytest.raises(ValueError, match="does not fit"):
+        pack([[0, 0], [-1, 0]], RateMode.R1000, 0)
+    with pytest.raises(ValueError, match="does not fit"):
+        pack([[0, -2]], RateMode.R1000, 0)
 
 
 def test_pack_rejects_wrong_field_count():
     with pytest.raises(ValueError):
-        pack([FrameCode(0, (0, 0))], RateMode.R1000, 0)
+        pack([[0, 0, 0]], RateMode.R1000, 0)
 
 
 def test_empty_stream_roundtrips():
-    stream = pack([], RateMode.R2000, 1)
+    stream = pack(np.zeros((0, 3), dtype=np.int64), RateMode.R2000, 1)
     raw = stream.to_bytes()
     assert len(raw) == HEADER_LEN
     back = EncodedStream.from_bytes(raw)
@@ -81,7 +87,7 @@ def test_empty_stream_roundtrips():
 
 
 def test_from_bytes_error_paths():
-    good = pack([FrameCode(3, (7,))], RateMode.R1000, 5).to_bytes()
+    good = pack([[3, 7]], RateMode.R1000, 5).to_bytes()
 
     with pytest.raises(FormatError, match="header"):
         EncodedStream.from_bytes(good[:10])
@@ -98,18 +104,18 @@ def test_from_bytes_error_paths():
 
 
 def test_unpack_returns_mode_hash_codes():
-    codes = [FrameCode(2, (30, 40)), FrameCode(1, (0, 8000))]
+    codes = np.array([[2, 30, 40], [1, 0, 8000]])
     raw = pack(codes, RateMode.R2000, 0xABC).to_bytes()
-    mode, digest, back = unpack(raw)
-    assert mode is RateMode.R2000
-    assert digest == 0xABC
-    assert back == tuple(codes)
+    stream = EncodedStream.from_bytes(raw)
+    assert stream.rate_mode is RateMode.R2000
+    assert stream.codebook_hash == 0xABC
+    assert np.array_equal(unpack_codes(stream), codes)
 
 
 def test_bitrate_is_exact():
     cfg = FrameConfig()
-    s1 = pack([FrameCode(0, (0,))] * 10, RateMode.R1000, 0)
-    s2 = pack([FrameCode(0, (0, 0))] * 10, RateMode.R2000, 0)
+    s1 = pack(np.zeros((10, 2), dtype=np.int64), RateMode.R1000, 0)
+    s2 = pack(np.zeros((10, 3), dtype=np.int64), RateMode.R2000, 0)
     assert stream_bitrate(s1, cfg) == 1000.0
     assert stream_bitrate(s2, cfg) == 2000.0
 
@@ -117,37 +123,36 @@ def test_bitrate_is_exact():
 @settings(max_examples=200, deadline=None)
 @given(st.lists(frame_codes_strategy(RateMode.R1000), max_size=40))
 def test_r1000_roundtrip_property(codes):
-    stream = pack(codes, RateMode.R1000, 123)
-    assert stream_codes(EncodedStream.from_bytes(stream.to_bytes())) == tuple(codes)
+    rows = _rows(codes, RateMode.R1000)
+    stream = pack(rows, RateMode.R1000, 123)
+    back = EncodedStream.from_bytes(stream.to_bytes())
+    assert np.array_equal(unpack_codes(back), rows)
+    assert stream_codes(back) == tuple(FrameCode(c[0], c[1:]) for c in codes)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(frame_codes_strategy(RateMode.R2000), max_size=40))
 def test_r2000_roundtrip_property(codes):
-    stream = pack(codes, RateMode.R2000, 2 ** 64 - 1)
+    rows = _rows(codes, RateMode.R2000)
+    stream = pack(rows, RateMode.R2000, 2 ** 64 - 1)
     back = EncodedStream.from_bytes(stream.to_bytes())
     assert back.codebook_hash == 2 ** 64 - 1
-    assert stream_codes(back) == tuple(codes)
+    assert np.array_equal(unpack_codes(back), rows)
+    assert stream_codes(back) == tuple(FrameCode(c[0], c[1:]) for c in codes)
 
 
 def test_mass_roundtrip_both_modes():
     """Bulk randomized roundtrip, mirroring the acceptance volume."""
     rng = np.random.default_rng(0)
     for mode in (RateMode.R1000, RateMode.R2000):
-        widths = (mode.sq_field_bits,) + mode.vq_field_bits
+        widths = mode.field_bits
         mismatches = 0
         for _ in range(100):
             count = int(rng.integers(0, 60))
-            codes = [
-                FrameCode(
-                    int(rng.integers(0, 2 ** widths[0])),
-                    tuple(int(rng.integers(0, 2 ** w)) for w in widths[1:]),
-                )
-                for _ in range(count)
-            ]
-            back = stream_codes(
+            codes = np.stack([rng.integers(0, 2 ** w, size=count) for w in widths], axis=1)
+            back = unpack_codes(
                 EncodedStream.from_bytes(pack(codes, mode, 99).to_bytes())
             )
-            if back != tuple(codes):
+            if not np.array_equal(back, codes):
                 mismatches += 1
         assert mismatches == 0

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
+from melvq.bitstream import pack
 from melvq.cli import main
+from melvq.quantizer import RateMode
 from melvq.signal_io import read_wav, write_wav
 from melvq.signals import speech_like
 from melvq.trainer import load_codebooks
@@ -150,6 +155,15 @@ def test_exit_codes(corpus_dir, capsys):
     junk.write_bytes(b"XXXX" + bytes(20))
     assert main(["decode", str(junk), str(corpus_dir / "x.wav"),
                  "--codebook", book]) == 5
+    # 5: stream indices beyond the codebook sizes (5-bit VQ, 4-bit energy
+    # stage), though each fits its wire field
+    digest = load_codebooks(book).content_hash
+    for row in ([0, 2000, 0], [60, 0, 0]):
+        wide = corpus_dir / "wide.mvqc"
+        wide.write_bytes(pack([row], RateMode.R2000, digest).to_bytes())
+        assert main(["decode", str(wide), str(corpus_dir / "x.wav"),
+                     "--codebook", book]) == 5
+        assert "out of range" in capsys.readouterr().err
     # 5: rate flag contradicts the codebook
     assert main(["encode", wav_in, str(corpus_dir / "x.mvqc"),
                  "--codebook", book, "--rate", "1000"]) == 5
@@ -162,6 +176,14 @@ def test_exit_codes(corpus_dir, capsys):
                  "--codebook", str(corpus_dir / "big.mvqb")]) == 7
     err = capsys.readouterr().err
     assert "at least 4096" in err
+    # 2: a beam or Griffin-Lim iteration count below 1, before any file is read
+    for argv in (["encode", str(corpus_dir / "missing.wav"), str(corpus_dir / "x.mvqc"),
+                  "--codebook", book, "--beam", "0"],
+                 ["decode", str(corpus_dir / "missing.mvqc"), str(corpus_dir / "x.wav"),
+                  "--codebook", book, "--gl-iters", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_empty_manifest_fails_before_output(corpus_dir):
@@ -177,8 +199,16 @@ def test_train_writes_loadable_codebooks(corpus_dir):
     book = _train(corpus_dir, "1000", "cb.mvqb",
                   "--sq-bits", "3", "--vq-bits", "4")
     loaded = load_codebooks(book)
-    assert loaded.scalar.bits == 3
+    assert loaded.stages[0].bits == 3
     assert loaded.stage_bits == (4,)
+
+
+def test_cli_module_runs_without_warnings():
+    """The package does not import the CLI, so running it as a module
+    raises no 'found in sys.modules' RuntimeWarning."""
+    result = subprocess.run([sys.executable, "-W", "error", "-m", "melvq.cli", "--help"],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_usage_error_exit_code():

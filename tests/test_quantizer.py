@@ -1,4 +1,5 @@
-"""Scalar/vector/multistage quantizers against brute-force oracles."""
+"""The stage-list quantizer (energy, VQ and two-stage M-best search)
+against brute-force oracles."""
 
 from __future__ import annotations
 
@@ -7,23 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from melvq.analysis import FrameConfig
+from melvq.errors import FormatError
 from melvq.quantizer import (
     CodebookSet,
     FrameCode,
-    MsvqCodebook,
     RateMode,
-    ScalarCodebook,
     VectorCodebook,
-    dequantize_frame,
+    dequantize,
     fnv1a64,
-    msvq_encode,
-    msvq_decode,
     quantize_frame,
-    sq_decode,
-    sq_encode,
-    vq_decode,
-    vq_encode,
 )
 
 # ---------------------------------------------------------------- oracles
@@ -63,23 +56,47 @@ def naive_msvq_greedy(vec, stage1, stage2):
     return (i, j)
 
 
+# ------------------------------------------------------------- helpers
+
+
+def _stage(table) -> VectorCodebook:
+    table = np.asarray(table, dtype=np.float32)
+    return VectorCodebook(table, len(table).bit_length() - 1)
+
+
+def _set(levels, *vq_tables) -> CodebookSet:
+    """A codebook set from an energy level list and one or two VQ tables;
+    the number of VQ stages picks the mode."""
+    mode = (RateMode.R1000, RateMode.R2000)[len(vq_tables) - 1]
+    energy = _stage(np.asarray(levels)[:, None])
+    return CodebookSet(mode, (energy, *map(_stage, vq_tables)))
+
+
+def _vq_code(vec, books: CodebookSet, beam_width: int = 8) -> tuple[int, ...]:
+    """VQ stage indices of one vector, searched through quantize_frame."""
+    return quantize_frame(np.concatenate([[0.0], vec]), books, beam_width).vq_indices
+
+
+def _vq_decode(code, books: CodebookSet) -> np.ndarray:
+    return dequantize(np.array([[0, *code]]), books)[0, 1:]
+
+
 # ------------------------------------------------------------ type checks
 
 
 def test_rate_mode_wire_fields():
-    assert RateMode.R1000.sq_field_bits == 4
-    assert RateMode.R1000.vq_field_bits == (12,)
+    assert RateMode.R1000.field_bits == (4, 12)
     assert RateMode.R1000.bits_per_frame == 16
-    assert RateMode.R2000.sq_field_bits == 6
-    assert RateMode.R2000.vq_field_bits == (13, 13)
+    assert RateMode.R2000.field_bits == (6, 13, 13)
     assert RateMode.R2000.bits_per_frame == 32
 
 
 def test_scalar_codebook_must_be_sorted():
+    vq = np.zeros((2, 3))
     with pytest.raises(ValueError):
-        ScalarCodebook(np.array([0.5, 0.1], dtype=np.float32), 1)
+        _set([0.5, 0.1], vq)
     with pytest.raises(ValueError):
-        ScalarCodebook(np.array([0.1, 0.2, 0.3], dtype=np.float32), 2)
+        _set([0.1, 0.2, 0.3], vq)
 
 
 def test_vector_codebook_size_checked():
@@ -88,44 +105,44 @@ def test_vector_codebook_size_checked():
 
 
 def test_msvq_requires_two_equal_dim_stages():
+    energy = _stage([[0.0], [1.0]])
     a = VectorCodebook(np.zeros((2, 4), dtype=np.float32), 1)
     b = VectorCodebook(np.zeros((2, 5), dtype=np.float32), 1)
     with pytest.raises(ValueError):
-        MsvqCodebook((a,))
+        CodebookSet(RateMode.R2000, (energy, a))
     with pytest.raises(ValueError):
-        MsvqCodebook((a, b))
-
-
-def test_frame_code_rejects_negative():
-    with pytest.raises(ValueError):
-        FrameCode(-1, (0,))
-    with pytest.raises(ValueError):
-        FrameCode(0, (-2,))
+        CodebookSet(RateMode.R2000, (energy, a, b))
 
 
 # --------------------------------------------------------------- scalar
 
 
+def _sq_code(value: float, books: CodebookSet) -> int:
+    z = np.zeros(1 + books.vector_dim)
+    z[0] = value
+    return quantize_frame(z, books).sq_index
+
+
 def test_sq_matches_oracle_and_saturates():
     levels = np.array([-1.0, 0.0, 0.5, 2.0], dtype=np.float32)
-    book = ScalarCodebook(levels, 2)
+    books = _set(levels, np.zeros((2, 3)))
     rng = np.random.default_rng(0)
     for v in rng.uniform(-5, 5, size=300):
-        assert sq_encode(float(v), book) == naive_sq(float(v), levels)
-    assert sq_encode(-100.0, book) == 0
-    assert sq_encode(100.0, book) == 3
-    assert sq_decode(2, book) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        sq_decode(4, book)
+        assert _sq_code(float(v), books) == naive_sq(float(v), levels)
+    assert _sq_code(-100.0, books) == 0
+    assert _sq_code(100.0, books) == 3
+    assert dequantize(np.array([[2, 0]]), books)[0, 0] == pytest.approx(0.5)
+    with pytest.raises(FormatError):
+        dequantize(np.array([[4, 0]]), books)
 
 
 def test_sq_roundtrip_error_bounded():
-    levels = np.array([0.0, 1.0, 3.0, 7.0], dtype=np.float32)
-    book = ScalarCodebook(levels, 2)
+    books = _set([0.0, 1.0, 3.0, 7.0], np.zeros((2, 3)))
     max_gap = 4.0
     rng = np.random.default_rng(1)
     for v in rng.uniform(0.0, 7.0, size=200):
-        err = abs(sq_decode(sq_encode(float(v), book), book) - v)
+        code = _sq_code(float(v), books)
+        err = abs(dequantize(np.array([[code, 0]]), books)[0, 0] - v)
         assert err <= max_gap / 2 + 1e-12
 
 
@@ -137,48 +154,50 @@ def test_vq_matches_oracle_many_codebooks():
     for trial in range(20):
         rng = np.random.default_rng(trial)
         codewords = rng.standard_normal((4, 3)).astype(np.float32)
-        book = VectorCodebook(codewords, 2)
+        books = _set([0.0, 1.0], codewords)
         for vec in rng.standard_normal((1000, 3)):
-            if vq_encode(vec, book) != naive_vq(vec, codewords):
+            if _vq_code(vec, books) != (naive_vq(vec, codewords),):
                 mismatches += 1
     assert mismatches == 0
 
 
 def test_vq_decode_range_checked():
-    book = VectorCodebook(np.zeros((2, 3), dtype=np.float32), 1)
-    with pytest.raises(ValueError):
-        vq_decode(2, book)
+    books = _set([0.0, 1.0], np.zeros((2, 3)))
+    with pytest.raises(FormatError):
+        _vq_decode((2,), books)
+    with pytest.raises(FormatError):
+        _vq_decode((-1,), books)
 
 
 def test_vq_tie_breaks_to_lowest_index():
     cw = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
                   dtype=np.float32)
-    book = VectorCodebook(cw, 2)
-    assert vq_encode(np.array([1.0, 0.0]), book) == 0
-    assert vq_encode(np.array([0.0, 0.0]), book) == 2
+    books = _set([0.0, 1.0], cw)
+    assert _vq_code(np.array([1.0, 0.0]), books) == (0,)
+    assert _vq_code(np.array([0.0, 0.0]), books) == (2,)
 
 
 # ------------------------------------------------------------- multistage
 
 
-def _toy_msvq(seed: int, spread: float = 0.3) -> MsvqCodebook:
+def _toy_msvq(seed: int, spread: float = 0.3) -> CodebookSet:
     rng = np.random.default_rng(seed)
     s1 = rng.standard_normal((4, 2)).astype(np.float32)
     s2 = (spread * rng.standard_normal((4, 2))).astype(np.float32)
-    return MsvqCodebook((VectorCodebook(s1, 2), VectorCodebook(s2, 2)))
+    return _set([0.0, 1.0], s1, s2)
 
 
 def test_msvq_full_beam_equals_exhaustive():
     mismatches = 0
     for seed in range(10):
-        book = _toy_msvq(seed)
-        s1 = book.stages[0].codewords
-        s2 = book.stages[1].codewords
+        books = _toy_msvq(seed)
+        s1 = books.stages[1].codewords
+        s2 = books.stages[2].codewords
         rng = np.random.default_rng(100 + seed)
         for vec in rng.standard_normal((200, 2)):
-            got = msvq_encode(vec, book, beam_width=4)
+            got = _vq_code(vec, books, beam_width=4)
             want = naive_msvq_exhaustive(vec, s1, s2)
-            d_got = float(np.sum((vec - msvq_decode(got, book)) ** 2))
+            d_got = float(np.sum((vec - _vq_decode(got, books)) ** 2))
             d_want = float(np.sum((vec
                                    - s1[want[0]].astype(np.float64)
                                    - s2[want[1]].astype(np.float64)) ** 2))
@@ -190,32 +209,33 @@ def test_msvq_full_beam_equals_exhaustive():
 
 def test_msvq_beam_one_is_greedy():
     for seed in range(10):
-        book = _toy_msvq(seed)
-        s1 = book.stages[0].codewords
-        s2 = book.stages[1].codewords
+        books = _toy_msvq(seed)
+        s1 = books.stages[1].codewords
+        s2 = books.stages[2].codewords
         rng = np.random.default_rng(200 + seed)
         for vec in rng.standard_normal((100, 2)):
-            assert msvq_encode(vec, book, beam_width=1) == \
+            assert _vq_code(vec, books, beam_width=1) == \
                 naive_msvq_greedy(vec, s1, s2)
 
 
 def test_msvq_wider_beam_never_worse():
     for seed in range(6):
-        book = _toy_msvq(seed, spread=0.8)
+        books = _toy_msvq(seed, spread=0.8)
         rng = np.random.default_rng(300 + seed)
         for vec in rng.standard_normal((100, 2)):
             dists = []
             for beam in (1, 2, 4):
-                code = msvq_encode(vec, book, beam_width=beam)
-                dists.append(float(np.sum((vec - msvq_decode(code, book)) ** 2)))
+                code = _vq_code(vec, books, beam_width=beam)
+                dists.append(float(np.sum((vec - _vq_decode(code, books)) ** 2)))
             assert dists[1] <= dists[0] + 1e-12
             assert dists[2] <= dists[1] + 1e-12
 
 
 def test_msvq_beam_width_validated():
-    book = _toy_msvq(0)
-    with pytest.raises(ValueError):
-        msvq_encode(np.zeros(2), book, beam_width=0)
+    # the shared search rejects a zero beam at both rates
+    for books in (_toy_msvq(0), _set([0.0, 1.0], np.zeros((2, 2)))):
+        with pytest.raises(ValueError):
+            _vq_code(np.zeros(2), books, beam_width=0)
 
 
 # ------------------------------------------------------------- frame level
@@ -224,18 +244,15 @@ def test_msvq_beam_width_validated():
 def _desk_set(mode: RateMode, seed: int = 0) -> CodebookSet:
     rng = np.random.default_rng(seed)
     dim = 79
-    levels = np.sort(rng.standard_normal(8)).astype(np.float32)
-    scalar = ScalarCodebook(levels, 3)
+    levels = np.sort(rng.standard_normal(8))
     if mode is RateMode.R1000:
-        return CodebookSet(
-            mode, scalar,
-            vector=VectorCodebook(rng.standard_normal((16, dim)).astype(np.float32), 4),
-        )
-    stages = (
-        VectorCodebook(rng.standard_normal((16, dim)).astype(np.float32), 4),
-        VectorCodebook((0.3 * rng.standard_normal((16, dim))).astype(np.float32), 4),
-    )
-    return CodebookSet(mode, scalar, msvq=MsvqCodebook(stages))
+        return _set(levels, rng.standard_normal((16, dim)))
+    return _set(levels, rng.standard_normal((16, dim)),
+                0.3 * rng.standard_normal((16, dim)))
+
+
+def _rows(*codes: FrameCode) -> np.ndarray:
+    return np.array([(code.sq_index, *code.vq_indices) for code in codes])
 
 
 @pytest.mark.parametrize("mode", [RateMode.R1000, RateMode.R2000])
@@ -245,8 +262,8 @@ def test_quantize_dequantize_frame_shapes(mode):
     vec = rng.standard_normal(80)
     code = quantize_frame(vec, books)
     assert isinstance(code, FrameCode)
-    assert len(code.vq_indices) == len(mode.vq_field_bits)
-    back = dequantize_frame(code, books)
+    assert len(code.vq_indices) == len(mode.field_bits) - 1
+    back = dequantize(_rows(code), books)[0]
     assert back.shape == (80,)
     assert np.all(np.isfinite(back))
 
@@ -261,10 +278,10 @@ def test_quantize_is_idempotent_at_full_beam(mode):
     full_beam = 16
     for vec in rng.standard_normal((50, 80)):
         code = quantize_frame(vec, books, beam_width=full_beam)
-        back = dequantize_frame(code, books)
+        back = dequantize(_rows(code), books)[0]
         again = quantize_frame(back, books, beam_width=full_beam)
-        d_code = float(np.sum((back - dequantize_frame(code, books)) ** 2))
-        d_again = float(np.sum((back - dequantize_frame(again, books)) ** 2))
+        d_code = float(np.sum((back - dequantize(_rows(code), books)[0]) ** 2))
+        d_again = float(np.sum((back - dequantize(_rows(again), books)[0]) ** 2))
         # the original code reconstructs `back` exactly, so any other answer
         # must tie at zero distortion
         assert d_code == 0.0
@@ -279,24 +296,21 @@ def test_quantize_frame_validates_length():
 
 def test_codebook_set_validates_mode_pairing():
     rng = np.random.default_rng(2)
-    scalar = ScalarCodebook(np.sort(rng.standard_normal(8)).astype(np.float32), 3)
-    vector = VectorCodebook(rng.standard_normal((16, 79)).astype(np.float32), 4)
-    msvq = MsvqCodebook((vector, vector))
+    scalar = _stage(np.sort(rng.standard_normal(8))[:, None])
+    vector = _stage(rng.standard_normal((16, 79)))
     with pytest.raises(ValueError):
-        CodebookSet(RateMode.R1000, scalar, msvq=msvq)
+        CodebookSet(RateMode.R1000, (scalar, vector, vector))
     with pytest.raises(ValueError):
-        CodebookSet(RateMode.R2000, scalar, vector=vector)
+        CodebookSet(RateMode.R2000, (scalar, vector))
     with pytest.raises(ValueError):
-        CodebookSet(RateMode.R1000, scalar, vector=vector, msvq=msvq)
+        CodebookSet(RateMode.R1000, (vector, vector))
 
 
 def test_codebook_set_rejects_oversized_books():
     rng = np.random.default_rng(3)
-    scalar = ScalarCodebook(np.sort(rng.standard_normal(32)).astype(np.float32), 5)
-    vector = VectorCodebook(rng.standard_normal((16, 79)).astype(np.float32), 4)
     # R1000 carries only 4 scalar bits on the wire; a 5-bit book cannot ship
     with pytest.raises(ValueError):
-        CodebookSet(RateMode.R1000, scalar, vector=vector)
+        _set(np.sort(rng.standard_normal(32)), rng.standard_normal((16, 79)))
 
 
 def test_content_hash_is_fnv1a_of_payload():
@@ -321,6 +335,6 @@ def test_fnv1a64_known_vectors():
 def test_vq_oracle_property(seed, dim):
     rng = np.random.default_rng(seed)
     codewords = rng.standard_normal((8, dim)).astype(np.float32)
-    book = VectorCodebook(codewords, 3)
+    books = _set([0.0, 1.0], codewords)
     vec = rng.standard_normal(dim)
-    assert vq_encode(vec, book) == naive_vq(vec, codewords)
+    assert _vq_code(vec, books) == (naive_vq(vec, codewords),)

@@ -14,11 +14,10 @@ from melvq.analysis import (
     frame_signal,
     log_mel_spectrogram,
 )
-from melvq.bitstream import pack
-from melvq.cli import encode_audio
+from melvq.bitstream import encode_audio, pack
 from melvq.errors import FormatError, HashMismatchError
 from melvq.metrics import seg_snr
-from melvq.quantizer import FrameCode, RateMode
+from melvq.quantizer import RateMode
 from melvq.signal_io import AudioBuffer
 from melvq.signals import speech_like, tone
 from melvq.synthesis import (
@@ -268,6 +267,6 @@ def test_decode_stream_rejects_wrong_codebooks(cb1000, cb2000):
 
 
 def test_decode_stream_rejects_empty(cb1000):
-    empty = pack([], RateMode.R1000, cb1000.content_hash)
+    empty = pack(np.zeros((0, 2), dtype=np.int64), RateMode.R1000, cb1000.content_hash)
     with pytest.raises(FormatError):
         decode_stream(empty, cb1000)

@@ -63,7 +63,7 @@ def test_scalar_uniform_reaches_lloyd_max_levels():
     rng = np.random.default_rng(0)
     samples = rng.random(100_000)
     book, report = train_scalar(samples, 2)
-    assert book.levels.astype(float) == pytest.approx(
+    assert book.codewords[:, 0].astype(float) == pytest.approx(
         [0.125, 0.375, 0.625, 0.875], abs=0.02
     )
     assert report.iterations == len(report.distortions)
@@ -78,7 +78,8 @@ def test_scalar_needs_enough_distinct_values():
 def test_scalar_levels_sorted():
     rng = np.random.default_rng(1)
     book, _ = train_scalar(rng.standard_normal(5000), 3)
-    assert np.all(np.diff(book.levels) > 0)
+    assert book.codewords.shape == (2 ** book.bits, 1)
+    assert np.all(np.diff(book.codewords[:, 0]) > 0)
 
 
 # ------------------------------------------------------------------- LBG
@@ -171,7 +172,8 @@ def test_train_codebook_set_both_modes(train_corpus):
     books2, reports2 = train_codebook_set(train_corpus, RateMode.R2000,
                                           sq_bits=4, stage_bits=(5, 5))
     assert set(reports2) == {"scalar", "msvq"}
-    assert len(books2.msvq.stages) == 2
+    assert books2.stage_bits == (5, 5)
+    assert len(books2.stages) == 3
 
 
 def test_training_is_deterministic(train_corpus):
@@ -180,8 +182,8 @@ def test_training_is_deterministic(train_corpus):
     b, _ = train_codebook_set(train_corpus, RateMode.R1000, sq_bits=3,
                               stage_bits=(4,))
     assert a.content_hash == b.content_hash
-    assert np.array_equal(a.vector.codewords, b.vector.codewords)
-    assert np.array_equal(a.scalar.levels, b.scalar.levels)
+    for mine, theirs in zip(a.stages, b.stages):
+        assert np.array_equal(mine.codewords, theirs.codewords)
 
 
 # ------------------------------------------------------------- file I/O
@@ -193,8 +195,8 @@ def test_save_load_roundtrip(tmp_path, cb2000):
     back = load_codebooks(path)
     assert back.content_hash == cb2000.content_hash
     assert back.rate_mode is cb2000.rate_mode
-    assert np.array_equal(back.scalar.levels, cb2000.scalar.levels)
-    for mine, theirs in zip(cb2000.msvq.stages, back.msvq.stages):
+    assert len(back.stages) == len(cb2000.stages) == 3
+    for mine, theirs in zip(cb2000.stages, back.stages):
         assert np.array_equal(mine.codewords, theirs.codewords)
 
 
@@ -202,7 +204,7 @@ def test_save_load_roundtrip_r1000(tmp_path, cb1000):
     path = tmp_path / "books.mvqb"
     save_codebooks(cb1000, path)
     back = load_codebooks(path, expected_mode=RateMode.R1000)
-    assert np.array_equal(back.vector.codewords, cb1000.vector.codewords)
+    assert np.array_equal(back.stages[1].codewords, cb1000.stages[1].codewords)
 
 
 def test_load_rejects_wrong_mode(tmp_path, cb1000):
@@ -221,6 +223,25 @@ def test_load_rejects_corrupt_payload(tmp_path, cb1000):
     bad.write_bytes(bytes(raw))
     with pytest.raises(HashMismatchError):
         load_codebooks(bad)
+
+
+def test_codebooks_hashed_once_per_load_and_not_on_save(tmp_path, cb2000, monkeypatch):
+    import melvq.quantizer
+    import melvq.trainer
+
+    hashed = []
+
+    def counting(data):
+        hashed.append(len(data))
+        return fnv1a64(data)
+
+    monkeypatch.setattr(melvq.trainer, "fnv1a64", counting)
+    monkeypatch.setattr(melvq.quantizer, "fnv1a64", counting)
+    path = tmp_path / "books.mvqb"
+    save_codebooks(cb2000, path)
+    assert hashed == []
+    assert load_codebooks(path).content_hash == cb2000.content_hash
+    assert hashed == [path.stat().st_size - 8]
 
 
 def test_load_rejects_bad_magic_version_truncation(tmp_path, cb1000):

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import synthesis
 from .analysis import FrameConfig, build_mel_filterbank, compute_mfcc, frame_signal, mfcc, log_mel_spectrogram
-from .bitstream import STREAM_MAGIC, EncodedStream, encode_audio, stream_bitrate, unpack_codes
+from .bitstream import STREAM_MAGIC, EncodedStream, encode_audio, stream_bitrate
 from .errors import (
     FormatError,
     HashMismatchError,
@@ -32,17 +32,9 @@ from .errors import (
     SampleRateError,
 )
 from .metrics import QualityReport, lsd, mcd, seg_snr, stoi
-from .quantizer import CODEBOOK_MAGIC, DEFAULT_BEAM_WIDTH, RateMode, dequantize
+from .quantizer import CODEBOOK_MAGIC, DEFAULT_BEAM_WIDTH, RateMode
 from .signal_io import AudioBuffer, read_wav, write_wav
-from .synthesis import (
-    MELSPEC_MAGIC,
-    MelSpectrogram,
-    decode_stream,
-    export_mel,
-    idct_mel,
-    import_mel,
-    magnitude_spectrogram,
-)
+from .synthesis import MELSPEC_MAGIC, export_mel, import_mel, magnitude_spectrogram
 from .trainer import (
     TrainingCorpus,
     load_codebooks,
@@ -134,11 +126,9 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     codebooks = load_codebooks(args.codebook)
     stream = EncodedStream.from_bytes(Path(args.input).read_bytes())
-    audio = decode_stream(stream, codebooks, gl_iterations=args.gl_iters)
+    audio, mel = synthesis._decode(stream, codebooks, args.gl_iters, FrameConfig())
     write_wav(args.output, audio)
     if args.emit_mel is not None:
-        coefficients = dequantize(unpack_codes(stream), codebooks)
-        mel = MelSpectrogram(idct_mel(coefficients), FrameConfig())
         export_mel(mel, args.emit_mel)
         print(f"wrote mel-spectrogram to {args.emit_mel}")
     print(

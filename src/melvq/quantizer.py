@@ -6,10 +6,19 @@ stage 0 is a one-dimensional codebook of sorted energy levels, and the later
 stages are cascaded 79-dim VQ stages, each quantizing the residual of the
 ones before. The 1000 bit/s mode spends 4 + 12 bits per frame on the energy
 stage and one VQ stage; the 2000 bit/s mode spends 6 + 13 + 13 bits on two
-VQ stages searched with an M-best beam. One search serves every stage.
-Distortion is unweighted squared Euclidean distance throughout, and every tie
-breaks toward the lowest index so encoding is deterministic. Frame codes are
-one (frames, stages) integer array.
+VQ stages searched with an M-best beam. Distortion is unweighted squared
+Euclidean distance throughout, and every tie breaks toward the lowest index
+so encoding is deterministic. Frame codes are one (frames, stages) integer
+array.
+
+The search is batched and exact. Blocks of at most _BLOCK_ROWS rows (frames,
+or (frame, beam entry) residuals) are scored against every codeword by one
+float32 GEMM. Every codeword within a proven rounding margin of the cut-off
+(the beam-th smallest score, or the smallest in the last stage) is kept, and
+that shortlist is re-ranked with the float64 distance
+((c - x)**2).sum(axis=-1). The margin holds for any BLAS summation order, FMA
+use or thread count (derivation above _shortlist), so the chosen indices,
+ties included, equal those of a full per-frame search.
 """
 
 from __future__ import annotations
@@ -170,41 +179,141 @@ def codebook_payload(codebooks: CodebookSet) -> bytes:
     return b"".join(parts)
 
 
-def _search(vec: np.ndarray, stages: tuple[VectorCodebook, ...],
-            beam_width: int) -> tuple[tuple[int, ...], float]:
-    """M-best search of cascaded stages; returns the indices and their
-    squared error.
+# Rows per search block: frames, or (frame, beam entry) residuals. Against
+# an 8192-word stage the block's float32 score matrix is 4 MB.
+_BLOCK_ROWS = 128
+# Candidate pairs per exact re-rank chunk (at most 5 MB of float64 rows).
+_RERANK_PAIRS = 8192
+# Rows whose scale P exceeds this keep every codeword: float32 could overflow.
+_SAFE_SCALE = 2.0 ** 100
 
-    The beam keeps the beam_width codewords of the first stage closest to
-    vec (ties toward lower index) and searches the later stages on each
-    residual; the last stage is a full search. The indices minimizing
-    ||vec - c1 - c2 - ...||^2 win, ties toward the lexicographically
-    smallest. A beam as wide as the first stage is an exhaustive joint
-    search of two stages; beam_width 1 is the greedy sequential search.
-    """
-    codewords = stages[0].codewords
-    dists = ((codewords - vec) ** 2).sum(axis=1)
+
+def _gamma(n: int, unit: float) -> float:
+    """The rounding-error factor gamma_n = n u / (1 - n u)."""
+    return n * unit / (1 - n * unit)
+
+
+class _Stage(NamedTuple):
+    """A VQ stage as the search reads it: the float32 codewords, their half
+    squared norms summed in float32, and the largest norm."""
+
+    codewords: np.ndarray
+    half_norms: np.ndarray
+    reach: float
+
+    @classmethod
+    def of(cls, book: VectorCodebook) -> "_Stage":
+        sq_norms = np.einsum("ij,ij->i", book.codewords, book.codewords)
+        return cls(book.codewords, sq_norms / 2, float(np.sqrt(sq_norms.max())))
+
+
+# The shortlist margin. Let x be a float64 row of n coefficients, c a float32
+# codeword (exact in float64), u32 = 2^-24 and u64 = 2^-53 the unit
+# roundoffs, and g(k, u) = gamma_k for unit u. The score is s = fl32(h - q),
+# where h is ||c||^2 / 2 summed in float32 and q is c . fl32(x) from a
+# float32 GEMM. The dot-product bound |fl(a . b) - a . b| <= g(n, u) |a| . |b|
+# holds for any summation order, FMA use or BLAS thread count, and with
+# Cauchy-Schwarz it gives
+#     |h - ||c||^2 / 2| <= g(n, u32) ||c||^2 / 2,
+#     |q - c . x| <= g(n + 1, u32) ||c|| ||x||,
+#     |2 s + ||x||^2 - ||c - x||^2| <= g(n + 2, u32) (||c||^2 + 2 ||c|| ||x||).
+# The exact distance d = fl64(sum (c_k - x_k)^2) rounds each difference and
+# square and then sums n terms, so |d - ||c - x||^2| <= g(n + 2, u64)
+# ||c - x||^2. With P = (max ||c|| + ||x||)^2 bounding both right-hand sides,
+#     |2 s + ||x||^2 - d| <= E = (g(n + 2, u32) + g(n + 2, u64)) P.
+# Let t be the keep-th smallest score of the row. At least keep codewords
+# score at most t, and each has d <= 2 t + ||x||^2 + E. So every codeword
+# among the keep nearest by d has 2 s + ||x||^2 <= d + E <= 2 t + ||x||^2
+# + 2 E, that is s <= t + E. The search keeps every codeword with
+# s <= t + M, where M uses g(n + 3, .) in place of g(n + 2, .). The extra
+# u32 P covers the rounding of max ||c||, ||x||, P and t + M, and the term
+# (n + 1)(1 + max ||c||) 2^-149 covers float32 underflow. t + M is rounded
+# up to float32 before the compare.
+def _shortlist(rows: np.ndarray, stage: _Stage, keep: int,
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every (row, codeword) pair whose codeword can be among the keep
+    nearest to its row: row indices, codeword indices (ascending within a
+    row) and the exact distance ((c - x)**2).sum(axis=-1) of each pair."""
+    count, dim = rows.shape
+    scale = (stage.reach + np.sqrt((rows ** 2).sum(axis=1))) ** 2
+    unsafe = ~(scale <= _SAFE_SCALE)
+    scores = np.where(unsafe[:, None], 0.0, rows).astype(np.float32) @ stage.codewords.T
+    np.subtract(stage.half_norms, scores, out=scores)
+    if keep >= scores.shape[1]:
+        cut = np.full(count, np.inf)
+    elif keep == 1:
+        cut = scores.min(axis=1)
+    else:
+        cut = np.partition(scores, keep - 1, axis=1)[:, keep - 1]
+    margin = ((_gamma(dim + 3, 2.0 ** -24) + _gamma(dim + 3, 2.0 ** -53)) * scale
+              + (dim + 1) * (1 + stage.reach) * 2.0 ** -149)
+    limit = np.nextafter((cut + margin).astype(np.float32), np.float32(np.inf))
+    limit[unsafe] = np.inf
+    pair_rows, pair_cols = np.nonzero(scores <= limit[:, None])
+    dists = np.empty(len(pair_rows))
+    for start in range(0, len(pair_rows), _RERANK_PAIRS):
+        at = slice(start, start + _RERANK_PAIRS)
+        dists[at] = ((stage.codewords[pair_cols[at]] - rows[pair_rows[at]]) ** 2).sum(axis=-1)
+    return pair_rows, pair_cols, dists
+
+
+def _nearest(rows: np.ndarray, stage: _Stage, keep: int,
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """The keep codewords nearest to each row by the exact distance, ties
+    toward the lower index, and their distances, as (rows, keep) arrays;
+    keep is at most the stage size."""
+    pair_rows, pair_cols, dists = _shortlist(rows, stage, keep)
+    order = np.lexsort((pair_cols, dists, pair_rows))
+    ranked_rows = pair_rows[order]
+    rank = np.arange(len(order)) - np.searchsorted(ranked_rows, ranked_rows)
+    chosen = order[rank < keep]
+    return pair_cols[chosen].reshape(-1, keep), dists[chosen].reshape(-1, keep)
+
+
+def _search(vectors: np.ndarray, stages: list[_Stage], beam: int) -> np.ndarray:
+    """VQ indices of one block of rows: the nearest codeword of a single
+    stage, or the M-best pair of two. The beam holds the beam codewords of
+    the first stage nearest to the row; the pair with the smallest exact
+    distance of the final residual wins, ties toward the smaller first
+    index."""
     if len(stages) == 1:
-        index = int(np.argmin(dists))
-        return (index,), dists[index]
-    best, best_dist = (0,) * len(stages), np.inf
-    for i in np.sort(np.argsort(dists, kind="stable")[:beam_width]):
-        rest, dist = _search(vec - codewords[i], stages[1:], beam_width)
-        if dist < best_dist:
-            best, best_dist = (int(i),) + rest, dist
-    return best, best_dist
+        return _nearest(vectors, stages[0], 1)[0]
+    first, last = stages
+    heads = _nearest(vectors, first, beam)[0].ravel()
+    owners = np.repeat(np.arange(len(vectors)), beam)
+    tails = np.empty_like(heads)
+    dists = np.empty(len(heads))
+    for start in range(0, len(heads), _BLOCK_ROWS):
+        at = slice(start, start + _BLOCK_ROWS)
+        residuals = vectors[owners[at]] - first.codewords[heads[at]]
+        index, dist = _nearest(residuals, last, 1)
+        tails[at], dists[at] = index[:, 0], dist[:, 0]
+    pick = np.lexsort((heads.reshape(-1, beam), dists.reshape(-1, beam)))[:, 0]
+    pick += beam * np.arange(len(vectors))
+    return np.stack([heads[pick], tails[pick]], axis=1)
 
 
 def _quantize(frames: np.ndarray, codebooks: CodebookSet,
               beam_width: int = DEFAULT_BEAM_WIDTH) -> np.ndarray:
     """Codes of (frames, 1 + dim) MFCC rows as a (frames, stages) array:
-    column 0 through the energy stage, the rest through the VQ stages."""
+    column 0 through the energy stage, the rest through the VQ stages.
+    Frames are searched in blocks of at most _BLOCK_ROWS residual rows."""
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
+    frames = np.asarray(frames, dtype=np.float64)
+    if not np.all(np.isfinite(frames)):
+        raise ValueError("frames must be finite")
+    energy = codebooks.stages[0]
+    stages = [_Stage.of(book) for book in codebooks.stages[1:]]
+    beam = min(beam_width, len(stages[0].codewords)) if len(stages) > 1 else 1
+    step = max(1, _BLOCK_ROWS // beam)
     codes = np.empty((len(frames), len(codebooks.stages)), dtype=np.int64)
-    for n, z in enumerate(frames):
-        codes[n, :1] = _search(z[:1], codebooks.stages[:1], 1)[0]
-        codes[n, 1:] = _search(z[1:], codebooks.stages[1:], beam_width)[0]
+    for start in range(0, len(frames), step):
+        block = frames[start:start + step]
+        # A sum over one element is exact, so this is the exact distance.
+        codes[start:start + step, 0] = np.argmin(
+            (energy.codewords[:, 0] - block[:, :1]) ** 2, axis=1)
+        codes[start:start + step, 1:] = _search(block[:, 1:], stages, beam)
     return codes
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,9 @@ def read_wav(path) -> AudioBuffer:
     """
     try:
         rate, data = wavfile.read(path)
-    except ValueError as exc:
-        raise FormatError(f"{path}: unsupported or non-PCM WAV ({exc})") from exc
+    except (ValueError, struct.error, EOFError, ZeroDivisionError, UnboundLocalError) as exc:
+        # scipy's reader raises each of these on truncated or malformed headers
+        raise FormatError(f"{path}: malformed, unsupported or non-PCM WAV ({exc})") from exc
     if data.dtype == np.int16:
         samples = data.astype(np.float64) / PCM16_FULL_SCALE
     elif data.dtype == np.int32:

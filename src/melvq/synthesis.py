@@ -193,9 +193,12 @@ def import_mel(path) -> MelSpectrogram:
         raise FormatError(f"{path}: payload size does not match the header")
     values = np.frombuffer(data, dtype="<f4", offset=MELSPEC_HEADER_LEN,
                            count=num_frames * num_bands)
-    cfg = FrameConfig(sample_rate_hz=rate, frame_len=frame_len,
-                      frame_shift=frame_shift, fft_size=frame_len,
-                      num_bands=num_bands)
+    try:
+        cfg = FrameConfig(sample_rate_hz=rate, frame_len=frame_len,
+                          frame_shift=frame_shift, fft_size=frame_len,
+                          num_bands=num_bands)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     return MelSpectrogram(values.reshape(num_frames, num_bands).astype(np.float64), cfg)
 
 
@@ -208,7 +211,13 @@ def decode_stream(stream: EncodedStream, codebooks: CodebookSet,
     signal has exactly (frame_count - 1) * frame_shift + frame_len samples
     and is clamped to [-1, 1].
     """
-    cfg = config or FrameConfig()
+    return _decode(stream, codebooks, gl_iterations, config or FrameConfig())[0]
+
+
+def _decode(stream: EncodedStream, codebooks: CodebookSet, gl_iterations: int,
+            cfg: FrameConfig) -> tuple[AudioBuffer, MelSpectrogram]:
+    """decode_stream's audio plus the dequantized mel-spectrogram it was
+    synthesized from."""
     if stream.frame_count == 0:
         raise FormatError("empty stream: no frames to decode")
     if stream.codebook_hash != codebooks.content_hash:
@@ -223,4 +232,4 @@ def decode_stream(stream: EncodedStream, codebooks: CodebookSet,
     spectrogram = mel_to_linear(mel, build_mel_filterbank(cfg))
     audio, _ = griffin_lim(spectrogram, gl_iterations)
     samples = np.clip(audio.samples, -1.0, 1.0)
-    return AudioBuffer(samples, cfg.sample_rate_hz)
+    return AudioBuffer(samples, cfg.sample_rate_hz), mel

@@ -278,11 +278,14 @@ def load_codebooks(path, expected_mode: RateMode | None = None) -> CodebookSet:
             f"{path}: stored hash {stored:016x} != computed {computed:016x}"
         )
     stages = []
-    for b, d in zip(bits, dims):
-        flat = np.frombuffer(data, dtype="<f4", count=2 ** b * d, offset=offset)
-        stages.append(VectorCodebook(flat.reshape(2 ** b, d).copy(), b))
-        offset += flat.nbytes
-    codebooks = CodebookSet(mode, tuple(stages), content_hash=computed)
+    try:
+        for b, d in zip(bits, dims):
+            flat = np.frombuffer(data, dtype="<f4", count=2 ** b * d, offset=offset)
+            stages.append(VectorCodebook(flat.reshape(2 ** b, d).copy(), b))
+            offset += flat.nbytes
+        codebooks = CodebookSet(mode, tuple(stages), content_hash=computed)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     if codebook_payload(codebooks) != data[:-8]:
         raise HashMismatchError(f"{path}: payload does not re-serialize to the hashed bytes")
     if expected_mode is not None and mode is not expected_mode:

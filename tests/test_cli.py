@@ -11,7 +11,7 @@ from scipy.io import wavfile
 
 from melvq.bitstream import pack
 from melvq.cli import main
-from melvq.quantizer import RateMode
+from melvq.quantizer import RateMode, fnv1a64
 from melvq.signal_io import read_wav, write_wav
 from melvq.signals import speech_like
 from melvq.trainer import load_codebooks
@@ -164,6 +164,29 @@ def test_exit_codes(corpus_dir, capsys):
         assert main(["decode", str(wide), str(corpus_dir / "x.wav"),
                      "--codebook", book]) == 5
         assert "out of range" in capsys.readouterr().err
+    # 5: a correctly hashed codebook whose contents are invalid: a NaN
+    # codeword, energy levels not increasing, a 0-bit stage, an energy stage
+    # wider than its 4-bit field
+    levels = np.arange(4.0)
+    for energy, vq_bits, table in ((levels, 2, np.full((4, 3), np.nan)),
+                                   (levels[[0, 2, 1, 3]], 2, np.zeros((4, 3))),
+                                   (levels, 0, np.zeros((1, 3))),
+                                   (np.arange(32.0), 2, np.zeros((4, 3)))):
+        bad = corpus_dir / "bad.mvqb"
+        bad.write_bytes(_codebook_bytes(energy, vq_bits, table))
+        assert main(["inspect", str(bad)]) == 5
+    # 5: a mel header whose frame config is invalid (shift does not divide
+    # the frame length; no bands)
+    for frame_len, bands in ((1000, 80), (1024, 0)):
+        mels = corpus_dir / "bad.mels"
+        header = [1, bands, 16000, frame_len, 256]
+        mels.write_bytes(b"MELS\x01" + b"".join(v.to_bytes(4, "little") for v in header)
+                         + bytes(4 * bands))
+        assert main(["inspect", str(mels)]) == 5
+    # 5: a WAV cut inside its header
+    cut = corpus_dir / "cut.wav"
+    cut.write_bytes((corpus_dir / "input.wav").read_bytes()[:30])
+    assert main(["encode", str(cut), str(corpus_dir / "x.mvqc"), "--codebook", book]) == 5
     # 5: rate flag contradicts the codebook
     assert main(["encode", wav_in, str(corpus_dir / "x.mvqc"),
                  "--codebook", book, "--rate", "1000"]) == 5
@@ -184,6 +207,15 @@ def test_exit_codes(corpus_dir, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+def _codebook_bytes(levels, vq_bits: int, table) -> bytes:
+    """A correctly hashed R1000 codebook file with arbitrary contents."""
+    energy_bits = int(np.log2(len(levels)))
+    payload = (b"MVQB" + bytes([1, RateMode.R1000.wire_byte, energy_bits])
+               + table.shape[1].to_bytes(2, "little") + bytes([vq_bits])
+               + np.asarray(levels, "<f4").tobytes() + np.asarray(table, "<f4").tobytes())
+    return payload + fnv1a64(payload).to_bytes(8, "little")
 
 
 def test_empty_manifest_fails_before_output(corpus_dir):

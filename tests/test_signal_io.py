@@ -79,3 +79,16 @@ def test_write_clips_out_of_range(tmp_path):
     assert back.samples[0] == pytest.approx(32767 / PCM16_FULL_SCALE)
     assert back.samples[1] == pytest.approx(-1.0)
     assert back.samples[2] == pytest.approx(0.5, abs=2.0 ** -15)
+
+
+def test_truncated_or_malformed_header_is_format_error(tmp_path):
+    path = tmp_path / "t.wav"
+    write_wav(path, tone(440.0, 0.01))
+    data = path.read_bytes()
+    for size in range(44):
+        path.write_bytes(data[:size])
+        with pytest.raises(FormatError):
+            read_wav(path)
+    path.write_bytes(data[:22] + bytes(2) + data[24:])  # zero channels
+    with pytest.raises(FormatError):
+        read_wav(path)

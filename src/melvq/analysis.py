@@ -10,15 +10,17 @@ bit-rate reduction happens in the quantizer, not by truncation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dct
 
 from .errors import SampleRateError
 from .signal_io import AudioBuffer
 
 MEL_LOG_FLOOR = 1e-5  # absolute floor applied to mel energies before the log
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -188,9 +190,107 @@ def log_mel_spectrogram(frames: FrameMatrix, filterbank: MelFilterbank) -> MelSp
     return MelSpectrogram(np.log(np.maximum(mel_energy, MEL_LOG_FLOOR)), cfg)
 
 
+# The orthonormal DCT-II and its inverse are computed the way pocketfft
+# computes them: a pairwise butterfly, one real FFT of the same length, and a
+# twiddle step with cos(pi*i/(2n)). numpy 2's FFT is the pocketfft that
+# scipy.fft runs, and the twiddles are built the way pocketfft builds them,
+# so the result is bit-identical to scipy.fft.dct/idct(norm="ortho") (the
+# tests check this against scipy). The FFT calls no BLAS and transforms each
+# row alone, so no BLAS setting and no batch size can change a bit.
+
+
+@lru_cache(maxsize=8)
+def _dct_plan(size: int) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Twiddles w[i-1] = cos(pi*i/(2*size)) as (w[k-1], w[size-k-1]) for
+    k = 1 .. ceil(size/2) - 1, the middle twiddle w[size/2 - 1] (even size
+    only), and the 1/sqrt(2*size) normalisation.
+
+    Each w[i-1] is the real part of a fine times a coarse table entry of
+    exp(2*pi*j*i/n), n = 4*size, with the entries from libm and the table
+    split where pocketfft splits it, so the twiddles round as scipy's do.
+    """
+    n = 4 * size
+    pi = np.longdouble("3.141592653589793238462643383279502884197")
+    angle = float(np.longdouble("0.25") * pi / n)  # 2*pi/n per step of 8
+
+    def quadrant(j: int) -> tuple[float, float]:
+        """(cos, sin) of 2*pi*j/n for 0 <= j < n/4, from the nearer octant."""
+        x = 8 * j
+        if x < n:
+            return math.cos(x * angle), math.sin(x * angle)
+        return math.sin((2 * n - x) * angle), math.cos((2 * n - x) * angle)
+
+    shift = 1
+    while (1 << shift) ** 2 < n // 2 + 1:
+        shift += 1
+    mask = (1 << shift) - 1
+    twiddles = np.zeros(size)
+    for i in range(1, size):
+        (fine_re, fine_im), (coarse_re, coarse_im) = quadrant(i & mask), quadrant(i & ~mask)
+        twiddles[i - 1] = fine_re * coarse_re - fine_im * coarse_im
+    half = (size + 1) // 2
+    k = np.arange(1, half)
+    w_k, w_kc = twiddles[k - 1], twiddles[size - k - 1]
+    w_k.flags.writeable = w_kc.flags.writeable = False
+    norm = float(np.longdouble(1) / np.sqrt(np.longdouble(2 * size)))
+    return w_k, w_kc, float(twiddles[half - 1]), norm
+
+
+def _dct(values: np.ndarray) -> np.ndarray:
+    """Orthonormal DCT-II along the last axis."""
+    values = np.asarray(values, dtype=np.float64)
+    size = values.shape[-1]
+    w_k, w_kc, w_mid, norm = _dct_plan(size)
+    half, pairs = (size + 1) // 2, (size - 1) // 2
+    lo, hi = values[..., 1:2 * pairs:2], values[..., 2:2 * pairs + 1:2]
+    spectrum = np.zeros(values.shape[:-1] + (size // 2 + 1,), complex)
+    spectrum.real[..., 0] = 2 * values[..., 0]
+    spectrum.real[..., 1:pairs + 1] = hi + lo
+    spectrum.imag[..., 1:pairs + 1] = hi - lo
+    if size % 2 == 0:
+        spectrum.real[..., size // 2] = 2 * values[..., size - 1]
+    y = np.fft.irfft(spectrum, n=size, axis=-1, norm="forward")
+    y *= norm
+    out = np.empty_like(y)
+    fwd, rev = y[..., 1:half], y[..., size - 1:size - half:-1]
+    t1 = w_k * rev + w_kc * fwd
+    t2 = w_k * fwd - w_kc * rev
+    out[..., 1:half] = 0.5 * (t1 + t2)
+    out[..., size - 1:size - half:-1] = 0.5 * (t1 - t2)
+    if size % 2 == 0:
+        out[..., half] = y[..., half] * w_mid
+    out[..., 0] = y[..., 0] * (_SQRT2 * 0.5)
+    return out
+
+
+def _idct(values: np.ndarray) -> np.ndarray:
+    """Inverse of _dct (the orthonormal DCT-III) along the last axis."""
+    out = np.array(values, dtype=np.float64)
+    size = out.shape[-1]
+    w_k, w_kc, w_mid, norm = _dct_plan(size)
+    half, pairs = (size + 1) // 2, (size - 1) // 2
+    out[..., 0] *= _SQRT2
+    fwd, rev = out[..., 1:half], out[..., size - 1:size - half:-1]
+    t1 = fwd + rev
+    t2 = fwd - rev
+    out[..., 1:half] = w_k * t2 + w_kc * t1
+    out[..., size - 1:size - half:-1] = w_k * t1 - w_kc * t2
+    if size % 2 == 0:
+        out[..., half] *= 2 * w_mid
+    spectrum = np.fft.rfft(out, axis=-1)
+    lo = spectrum.real[..., 1:pairs + 1] * norm
+    hi = spectrum.imag[..., 1:pairs + 1] * norm
+    out[..., 0] = spectrum.real[..., 0] * norm
+    out[..., 1:2 * pairs:2] = lo - hi
+    out[..., 2:2 * pairs + 1:2] = lo + hi
+    if size % 2 == 0:
+        out[..., size - 1] = spectrum.real[..., size // 2] * norm
+    return out
+
+
 def mfcc(mel: MelSpectrogram) -> MfccMatrix:
     """Orthonormal DCT-II of each log-mel row, keeping all coefficients."""
-    return MfccMatrix(dct(mel.values, type=2, norm="ortho", axis=1), mel.config)
+    return MfccMatrix(_dct(mel.values), mel.config)
 
 
 def compute_mfcc(audio: AudioBuffer, config: FrameConfig | None = None,

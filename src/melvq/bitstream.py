@@ -139,7 +139,10 @@ def encode_audio(audio: AudioBuffer, codebooks: CodebookSet,
                  beam_width: int = DEFAULT_BEAM_WIDTH,
                  config: FrameConfig | None = None) -> EncodedStream:
     """Analyze and quantize audio into an encoded stream."""
-    features = compute_mfcc(audio, config or FrameConfig())
+    cfg = config or FrameConfig()
+    if 1 + codebooks.vector_dim != cfg.num_bands:
+        raise ValueError("codebook dimension does not match the frame config")
+    features = compute_mfcc(audio, cfg)
     codes = _quantize(features.values, codebooks, beam_width)
     return pack(codes, codebooks.rate_mode, codebooks.content_hash)
 

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import upfirdn
 
 from .analysis import MfccMatrix
 from .signal_io import AudioBuffer
@@ -79,6 +78,32 @@ class QualityReport:
                    mean_of("lsd_db"), mean_of("seg_snr_db"))
 
 
+def _upfirdn(taps: np.ndarray, x: np.ndarray, up: int, down: int) -> np.ndarray:
+    """Upsample by up, filter with taps, downsample by down; full output.
+
+    Polyphase form of y[m] = sum_k taps[k] * x_up[m*down - k] for coprime up
+    and down. The outputs that tap k reaches are every up-th output, fed by
+    every down-th input, so with y split into its up output phases and x
+    into its down input phases each tap is one contiguous multiply-add.
+    """
+    out_len = ((x.size - 1) * up + taps.size - 1) // down + 1
+    phases = np.zeros((up, -(-out_len // up)))  # phases[p, t] = y[p + up*t]
+    inputs = [x[r::down] for r in range(down)]
+    inverse = pow(down, -1, up)
+    for k, tap in enumerate(taps):
+        m = k * inverse % up  # first output with m*down = k (mod up)
+        i = (m * down - k) // up
+        if i < 0:  # skip the outputs that would read before x[0]
+            steps = -(i // down)
+            m += up * steps
+            i += down * steps
+        count = min(-(-(out_len - m) // up), -(-(x.size - i) // down))
+        if count > 0:
+            t, s = m // up, i // down
+            phases[m % up, t:t + count] += tap * inputs[i % down][s:s + count]
+    return phases.T.reshape(-1)[:out_len]
+
+
 def _resample_sinc(x: np.ndarray, fs_in: int, fs_out: int,
                    taps_per_phase: int = RESAMPLER_TAPS_PER_PHASE) -> np.ndarray:
     """Polyphase rational resampler with a Hamming-windowed sinc prototype."""
@@ -94,7 +119,7 @@ def _resample_sinc(x: np.ndarray, fs_in: int, fs_out: int,
     cutoff = 1.0 / max(up, down)
     n = np.arange(num_taps) - half
     kernel = cutoff * np.sinc(cutoff * n) * np.hamming(num_taps)
-    filtered = upfirdn(kernel * up, x, up=up, down=down)
+    filtered = _upfirdn(kernel * up, x, up, down)
     start = half // down
     n_out = -(-x.size * up // down)
     out = filtered[start:start + n_out]

@@ -15,13 +15,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.fft import idct
 
 from .analysis import (
     FrameConfig,
     FrameMatrix,
     MelFilterbank,
     MelSpectrogram,
+    _idct,
     build_mel_filterbank,
     hamming_window,
 )
@@ -67,7 +67,7 @@ def magnitude_spectrogram(frames: FrameMatrix) -> MagnitudeSpectrogram:
 
 def idct_mel(coefficients: np.ndarray) -> np.ndarray:
     """Invert the orthonormal DCT-II; accepts one row or a matrix of rows."""
-    return idct(np.asarray(coefficients, dtype=np.float64), type=2, norm="ortho", axis=-1)
+    return _idct(coefficients)
 
 
 def mel_to_linear(mel: MelSpectrogram, filterbank: MelFilterbank) -> MagnitudeSpectrogram:

@@ -6,13 +6,26 @@ require the replacement to give the same results bit for bit.
 - `_search` and `_quantize`: the per-frame M-best search of
   `melvq.quantizer` before the batched shortlist search. They take the same
   `CodebookSet` and return the same `(frames, stages)` code array.
+- `dct`, `idct_mel`, `upfirdn`, `read_wav` and `write_wav`: the scipy-backed
+  transforms, STOI resampler core and WAV I/O that the numpy-only runtime
+  replaced. scipy is a test-only dependency, so these are oracles, not code
+  the package may import. The DCT and WAV replacements match them bit for
+  bit, the resampler to float rounding.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import struct
 
+import numpy as np
+from scipy.fft import dct as _scipy_dct
+from scipy.fft import idct as _scipy_idct
+from scipy.io import wavfile
+from scipy.signal import upfirdn  # noqa: F401  (re-exported oracle)
+
+from melvq.errors import FormatError
 from melvq.quantizer import DEFAULT_BEAM_WIDTH, CodebookSet, VectorCodebook
+from melvq.signal_io import PCM16_FULL_SCALE, PCM16_MAX_SAMPLE, AudioBuffer
 
 
 def _search(vec: np.ndarray, stages: tuple[VectorCodebook, ...],
@@ -51,3 +64,47 @@ def _quantize(frames: np.ndarray, codebooks: CodebookSet,
         codes[n, :1] = _search(z[:1], codebooks.stages[:1], 1)[0]
         codes[n, 1:] = _search(z[1:], codebooks.stages[1:], beam_width)[0]
     return codes
+
+
+def dct(values: np.ndarray) -> np.ndarray:
+    """Orthonormal DCT-II along the last axis (what `mfcc` computed)."""
+    return _scipy_dct(values, type=2, norm="ortho", axis=-1)
+
+
+def idct_mel(coefficients: np.ndarray) -> np.ndarray:
+    """Invert the orthonormal DCT-II; accepts one row or a matrix of rows."""
+    return _scipy_idct(np.asarray(coefficients, dtype=np.float64), type=2, norm="ortho", axis=-1)
+
+
+def read_wav(path) -> AudioBuffer:
+    """Read an integer PCM WAV file as a mono AudioBuffer.
+
+    16-bit samples are scaled by 1/32768. 24- and 32-bit samples arrive from
+    scipy widened into the int32 range and are scaled by 1/2**31. Multichannel
+    content is averaged to mono. The sample rate is preserved as read; rate
+    requirements are enforced by the analysis stage, not here.
+    """
+    try:
+        rate, data = wavfile.read(path)
+    except (ValueError, struct.error, EOFError, ZeroDivisionError, UnboundLocalError) as exc:
+        # scipy's reader raises each of these on truncated or malformed headers
+        raise FormatError(f"{path}: malformed, unsupported or non-PCM WAV ({exc})") from exc
+    if data.dtype == np.int16:
+        samples = data.astype(np.float64) / PCM16_FULL_SCALE
+    elif data.dtype == np.int32:
+        samples = data.astype(np.float64) / 2147483648.0
+    else:
+        raise FormatError(
+            f"{path}: unsupported sample format {data.dtype}; "
+            "only 16/24/32-bit integer PCM is accepted"
+        )
+    if samples.ndim == 2:
+        samples = samples.mean(axis=1)
+    return AudioBuffer(samples, int(rate))
+
+
+def write_wav(path, audio: AudioBuffer) -> None:
+    """Write 16-bit PCM, clamping samples to [-1, 1 - 2**-15] first."""
+    clipped = np.clip(audio.samples, -1.0, PCM16_MAX_SAMPLE)
+    pcm = np.round(clipped * PCM16_FULL_SCALE).astype(np.int16)
+    wavfile.write(path, audio.sample_rate_hz, pcm)

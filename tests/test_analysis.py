@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import dct
 
+import reference
 from melvq.analysis import (
     MEL_LOG_FLOOR,
     FrameConfig,
+    MelSpectrogram,
     build_mel_filterbank,
     compute_mfcc,
     frame_signal,
@@ -22,6 +24,7 @@ from melvq.analysis import (
 from melvq.errors import SampleRateError
 from melvq.signal_io import AudioBuffer
 from melvq.signals import speech_like, tone
+from melvq.synthesis import idct_mel
 
 
 def test_config_defaults_and_validation():
@@ -138,3 +141,40 @@ def test_mfcc_roundtrips_log_mel(seed):
     z = mfcc(MelSpectrogram(rows, FrameConfig()))
     back = idct(z.values, type=2, norm="ortho", axis=-1)
     assert np.max(np.abs(back - rows)) < 1e-9
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("size", [1, 2, 13, 80])
+def test_dct_equals_scipy_bit_for_bit_and_round_trips(size):
+    """mfcc and idct_mel give exactly the bits of scipy's orthonormal DCT-II
+    and its inverse (signed zeros included), for matrices and single rows,
+    and invert each other."""
+    rows = 5.0 * np.random.default_rng(size).standard_normal((64, size))
+    rows[:3] = np.array([[np.log(MEL_LOG_FLOOR)], [0.0], [-0.0]])  # constant rows
+    coefficients = mfcc(MelSpectrogram(rows, FrameConfig(num_bands=size))).values
+    assert _same_bits(coefficients, reference.dct(rows))
+    assert _same_bits(idct_mel(coefficients), reference.idct_mel(coefficients))
+    assert _same_bits(idct_mel(coefficients[3]), reference.idct_mel(coefficients[3]))
+    assert np.max(np.abs(idct_mel(coefficients) - rows)) < 1e-12
+
+
+def test_dct_equals_scipy_on_speech(frame_config):
+    audio = speech_like(2.0, seed=21)
+    log_mel = log_mel_spectrogram(frame_signal(audio, frame_config),
+                                  build_mel_filterbank(frame_config)).values
+    assert _same_bits(compute_mfcc(audio, frame_config).values, reference.dct(log_mel))
+
+
+def test_dct_rows_are_independent(frame_config):
+    """Each row is transformed alone, so it comes out bit-identical alone or
+    inside any matrix."""
+    rows = np.random.default_rng(3).standard_normal((7, 80))
+    whole = mfcc(MelSpectrogram(rows, frame_config)).values
+    inverse = idct_mel(whole)
+    for i in range(rows.shape[0]):
+        alone = mfcc(MelSpectrogram(rows[i:i + 1], frame_config)).values
+        assert _same_bits(alone[0], whole[i])
+        assert _same_bits(idct_mel(whole[i]), inverse[i])

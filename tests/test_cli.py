@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
+import melvq
 from melvq.bitstream import pack
 from melvq.cli import main
 from melvq.quantizer import RateMode, fnv1a64
@@ -175,6 +178,12 @@ def test_exit_codes(corpus_dir, capsys):
         bad = corpus_dir / "bad.mvqb"
         bad.write_bytes(_codebook_bytes(energy, vq_bits, table))
         assert main(["inspect", str(bad)]) == 5
+    # 2: a valid codebook whose vectors are not 79-dimensional, before any
+    # analysis, with the message decode gives
+    narrow = corpus_dir / "narrow.mvqb"
+    narrow.write_bytes(_codebook_bytes(levels, 2, np.arange(12.0).reshape(4, 3)))
+    assert main(["encode", wav_in, str(corpus_dir / "x.mvqc"), "--codebook", str(narrow)]) == 2
+    assert "codebook dimension does not match" in capsys.readouterr().err
     # 5: a mel header whose frame config is invalid (shift does not divide
     # the frame length; no bands)
     for frame_len, bands in ((1000, 80), (1024, 0)):
@@ -247,3 +256,35 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["train", "--rate", "1500"])  # invalid rate and missing args
     assert exc.value.code == 2
+
+
+_NO_SCIPY_SCRIPT = """
+import sys
+from melvq.cli import main
+
+d = sys.argv[1]
+book, stream, wav = d + "/cb.mvqb", d + "/out.mvqc", d + "/out.wav"
+for argv in (["train", "--manifest", d + "/train.txt", "--rate", "2000",
+              "--codebook", book, "--sq-bits", "3", "--stage-bits", "4,4"],
+             ["encode", d + "/input.wav", stream, "--codebook", book],
+             ["decode", stream, wav, "--codebook", book, "--gl-iters", "2",
+              "--emit-mel", d + "/out.mels"],
+             ["eval", d + "/input.wav", wav],
+             ["inspect", stream]):
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_commands_never_import_scipy(corpus_dir):
+    """scipy is a test-only dependency: train, encode, decode --emit-mel,
+    eval and inspect run without importing it. A child process is needed
+    because tests import scipy into this one."""
+    src = str(Path(melvq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(corpus_dir)],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"

@@ -7,11 +7,13 @@ import math
 import numpy as np
 import pytest
 
+import reference
 from melvq.analysis import FrameConfig, MfccMatrix
 from melvq.metrics import (
     MCD_SCALE,
     QualityReport,
     _resample_sinc,
+    _upfirdn,
     lsd,
     mcd,
     seg_snr,
@@ -97,6 +99,19 @@ def test_resampler_preserves_tone_frequency():
 def test_resampler_identity_when_rates_match():
     x = np.sin(np.linspace(0, 50, 1000))
     assert np.array_equal(_resample_sinc(x, 16000, 16000), x)
+
+
+@pytest.mark.parametrize("up, down", [(5, 8), (8, 5), (1, 3), (3, 1), (1, 1), (2, 3)])
+def test_polyphase_matches_scipy_upfirdn(up, down):
+    rng = np.random.default_rng(up * 10 + down)
+    for size in (1, 2, 7, 1000):
+        for num_taps in (1, 4, 17, 513):
+            taps = rng.standard_normal(num_taps)
+            x = rng.standard_normal(size)
+            ours = _upfirdn(taps, x, up, down)
+            oracle = reference.upfirdn(taps, x, up=up, down=down)
+            assert ours.shape == oracle.shape
+            assert np.max(np.abs(ours - oracle)) < 1e-12
 
 
 def test_resampler_group_delay_is_compensated():

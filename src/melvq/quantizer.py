@@ -40,12 +40,70 @@ FNV64_OFFSET_BASIS = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
 
 
-def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a digest of a byte string."""
+def _descending_powers(base: int, count: int) -> np.ndarray:
+    """base**(count-1), ..., base**1, base**0 mod 2**64 as uint64."""
+    powers = np.full(count, base, np.uint64)
+    powers[0] = 1
+    return np.multiply.accumulate(powers)[::-1]
+
+
+_FNV_BLOCK = 512  # bytes per row of the uint64 dot product
+_FNV_CHUNK = 512 * _FNV_BLOCK  # bytes per pass; bounds the temporaries to a few MB
+_FNV_BLOCK_POWERS = _descending_powers(FNV64_PRIME, _FNV_BLOCK + 1)[:-1]  # P**B .. P**1
+_FNV_FOLD_POWERS = _descending_powers(int(_FNV_BLOCK_POWERS[0]), _FNV_CHUNK // _FNV_BLOCK)
+
+
+def fnv1a64(data: bytes | bytearray | memoryview) -> int:
+    """64-bit FNV-1a digest of a bytes-like object.
+
+    The byte loop h = ((h ^ b) * P) mod 2**64 is evaluated exactly with
+    numpy, one chunk of bytes at a time, in two steps.
+
+    1. The low byte l of the state. With x = l ^ b the next low byte is
+       l' = (x * 0xB3) mod 256, as P mod 256 = 0xB3. 0xB3 is odd, so bit k
+       of l' is l_k ^ b_k ^ bit_k((x mod 2**k) * 0xB3), and every term after
+       l_k is known once bits < k are solved. Each of the 8 bits is thus one
+       prefix XOR over the chunk, run on bit-packed uint64 words: 6 in-word
+       shift-XORs, then an XOR accumulate of each word's parity bit.
+    2. The full state. h ^ b = h + x - l, so h' = P*h + P*(x - l), and after
+       the n bytes of a chunk h = P**n h + sum_t (x_t - l_t) P**(n - t + 1)
+       mod 2**64: blocks of B steps x_t - l_t times P**B .. P**1, then the
+       block sums times powers of P**B, in wrapping uint64. numpy's integer
+       matmul does not use BLAS, and a sum mod 2**64 is exact in any order.
+    """
     digest = FNV64_OFFSET_BASIS
-    for byte in data:
-        digest ^= byte
-        digest = (digest * FNV64_PRIME) & 0xFFFFFFFFFFFFFFFF
+    data = np.frombuffer(data, np.uint8)
+    for start in range(0, len(data), _FNV_CHUNK):
+        chunk = data[start:start + _FNV_CHUNK]
+        n = len(chunk)
+        # Zero bytes in front pad the chunk to whole blocks. They do not
+        # change the sum, and with a zero state their terms stay zero.
+        first = -n % _FNV_BLOCK
+        padded = np.concatenate([np.zeros(first, np.uint8), chunk])
+        # x[t] = l_t ^ b_t, l_t the low byte before byte t, solved one bit
+        # per pass; unsolved bits still hold b_t. The first byte's x starts
+        # complete, so each prefix XOR starts from the carried-in bit.
+        x = padded.copy()
+        x[first] ^= digest & 0xFF
+        terms = np.empty_like(x)
+        for k in range(8):
+            np.bitwise_and(x, (1 << k) - 1, out=terms)
+            terms *= 0xB3
+            terms ^= x
+            terms &= 1 << k
+            words = np.packbits(terms, bitorder="little").view("<u8")
+            for shift in (1, 2, 4, 8, 16, 32):
+                words ^= words << np.uint64(shift)
+            parity = np.bitwise_xor.accumulate(words >> np.uint64(63))
+            words[1:] ^= -parity[:-1]
+            solved = np.unpackbits(words.view(np.uint8), bitorder="little")
+            solved <<= k
+            x[1:] ^= solved[:-1]
+        steps = x.astype(np.uint64)
+        steps -= x ^ padded
+        sums = steps.reshape(-1, _FNV_BLOCK) @ _FNV_BLOCK_POWERS
+        folded = int(sums @ _FNV_FOLD_POWERS[-len(sums):])
+        digest = (digest * pow(FNV64_PRIME, n, 1 << 64) + folded) & 0xFFFFFFFFFFFFFFFF
     return digest
 
 

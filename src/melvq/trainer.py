@@ -272,7 +272,8 @@ def load_codebooks(path, expected_mode: RateMode | None = None) -> CodebookSet:
     if len(data) > expected_len:
         raise FormatError(f"{path}: trailing garbage after codebook payload")
     stored = int.from_bytes(data[-8:], "little")
-    computed = fnv1a64(data[:-8])
+    payload = memoryview(data)[:-8]
+    computed = fnv1a64(payload)
     if stored != computed:
         raise HashMismatchError(
             f"{path}: stored hash {stored:016x} != computed {computed:016x}"
@@ -286,7 +287,9 @@ def load_codebooks(path, expected_mode: RateMode | None = None) -> CodebookSet:
         codebooks = CodebookSet(mode, tuple(stages), content_hash=computed)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    if codebook_payload(codebooks) != data[:-8]:
+    # startswith compares in place; == on a memoryview goes item by item
+    serialized = codebook_payload(codebooks)
+    if len(serialized) != len(payload) or not data.startswith(serialized):
         raise HashMismatchError(f"{path}: payload does not re-serialize to the hashed bytes")
     if expected_mode is not None and mode is not expected_mode:
         raise FormatError(

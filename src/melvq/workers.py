@@ -10,17 +10,18 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 THREADS_ENV_VAR = "MELVQ_THREADS"
+MAX_THREADS = 64
 
 
 def worker_count() -> int:
-    """Worker cap: MELVQ_THREADS when set, else up to 4 threads."""
+    """Worker cap: MELVQ_THREADS clamped to 1..MAX_THREADS, else up to 4 threads."""
     value = os.environ.get(THREADS_ENV_VAR)
     if value is not None:
         try:
             requested = int(value)
         except ValueError as exc:
             raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {value!r}") from exc
-        return max(1, requested)
+        return max(1, min(MAX_THREADS, requested))
     return max(1, min(4, os.cpu_count() or 1))
 
 

@@ -11,6 +11,8 @@ require the replacement to give the same results bit for bit.
   replaced. scipy is a test-only dependency, so these are oracles, not code
   the package may import. The DCT and WAV replacements match them bit for
   bit, the resampler to float rounding.
+- `fnv1a64`: the byte loop of `melvq.quantizer.fnv1a64` before the
+  vectorised digest. Every input must give the same 64-bit value.
 """
 
 from __future__ import annotations
@@ -24,8 +26,23 @@ from scipy.io import wavfile
 from scipy.signal import upfirdn  # noqa: F401  (re-exported oracle)
 
 from melvq.errors import FormatError
-from melvq.quantizer import DEFAULT_BEAM_WIDTH, CodebookSet, VectorCodebook
+from melvq.quantizer import (
+    DEFAULT_BEAM_WIDTH,
+    FNV64_OFFSET_BASIS,
+    FNV64_PRIME,
+    CodebookSet,
+    VectorCodebook,
+)
 from melvq.signal_io import PCM16_FULL_SCALE, PCM16_MAX_SAMPLE, AudioBuffer
+
+
+def fnv1a64(data: bytes) -> int:
+    """64-bit FNV-1a digest of a byte string."""
+    digest = FNV64_OFFSET_BASIS
+    for byte in data:
+        digest ^= byte
+        digest = (digest * FNV64_PRIME) & 0xFFFFFFFFFFFFFFFF
+    return digest
 
 
 def _search(vec: np.ndarray, stages: tuple[VectorCodebook, ...],

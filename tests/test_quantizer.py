@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from melvq.errors import FormatError
 from melvq.quantizer import (
     CodebookSet,
@@ -18,6 +19,7 @@ from melvq.quantizer import (
     fnv1a64,
     quantize_frame,
 )
+from melvq.quantizer import _FNV_BLOCK, _FNV_CHUNK
 
 # ---------------------------------------------------------------- oracles
 
@@ -328,6 +330,41 @@ def test_fnv1a64_known_vectors():
     assert fnv1a64(b"") == 0xCBF29CE484222325
     assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
     assert fnv1a64(b"foobar") == 0x85944171F73967E8
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=2000))
+def test_fnv1a64_matches_the_byte_loop(data):
+    assert fnv1a64(data) == reference.fnv1a64(data)
+
+
+# the boundaries of 64-byte words of packed bits, of _FNV_BLOCK-byte blocks
+# and of _FNV_CHUNK-byte chunks, each +-1, and lengths past two chunks
+_FNV_LENGTHS = [0, 1, 2, 63, 64, 65, 127, 128, 129, _FNV_BLOCK - 1, _FNV_BLOCK,
+                _FNV_BLOCK + 1, 2 * _FNV_BLOCK + 1, _FNV_CHUNK - 1, _FNV_CHUNK,
+                _FNV_CHUNK + 1, 2 * _FNV_CHUNK - 1, 2 * _FNV_CHUNK,
+                2 * _FNV_CHUNK + 1, 2 * _FNV_CHUNK + _FNV_BLOCK + 65]
+
+
+@pytest.mark.parametrize("length", _FNV_LENGTHS)
+def test_fnv1a64_matches_the_byte_loop_at_boundaries(length):
+    data = np.random.default_rng(length).integers(0, 256, length, dtype=np.uint8).tobytes()
+    assert fnv1a64(data) == reference.fnv1a64(data)
+
+
+@pytest.mark.parametrize("fill", [0x00, 0xFF, 0xB3])
+def test_fnv1a64_matches_the_byte_loop_on_constant_fills(fill):
+    data = bytes([fill]) * (_FNV_CHUNK + 77)
+    assert fnv1a64(data) == reference.fnv1a64(data)
+
+
+def test_fnv1a64_takes_any_bytes_like_object():
+    data = np.random.default_rng(5).integers(0, 256, 1000, dtype=np.uint8).tobytes()
+    expected = reference.fnv1a64(data)
+    framed = b"xx" + data + b"yy"
+    assert fnv1a64(bytearray(data)) == expected
+    assert fnv1a64(memoryview(data)) == expected
+    assert fnv1a64(memoryview(framed)[2:-2]) == expected
 
 
 @settings(max_examples=50, deadline=None)

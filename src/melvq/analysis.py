@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SampleRateError
 from .signal_io import AudioBuffer
@@ -129,6 +130,11 @@ def mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
+def _frame_view(x: np.ndarray, frame_len: int, frame_shift: int) -> np.ndarray:
+    """The frame_len windows of x at every frame_shift, as a read-only view."""
+    return sliding_window_view(x, frame_len)[::frame_shift]
+
+
 def frame_signal(audio: AudioBuffer, config: FrameConfig | None = None) -> FrameMatrix:
     """Split audio into overlapping Hamming-windowed frames.
 
@@ -150,8 +156,7 @@ def frame_signal(audio: AudioBuffer, config: FrameConfig | None = None) -> Frame
     padded = np.zeros(padded_len)
     padded[: x.size] = x
     window = hamming_window(cfg.frame_len)
-    offsets = cfg.frame_shift * np.arange(num_frames)[:, None]
-    frames = padded[offsets + np.arange(cfg.frame_len)[None, :]] * window
+    frames = _frame_view(padded, cfg.frame_len, cfg.frame_shift) * window
     return FrameMatrix(frames, window, cfg)
 
 
@@ -185,7 +190,14 @@ def log_mel_spectrogram(frames: FrameMatrix, filterbank: MelFilterbank) -> MelSp
             f"filterbank shape {filterbank.weights.shape} does not match "
             f"config ({cfg.num_bands}, {cfg.num_bins})"
         )
-    magnitude = np.abs(np.fft.rfft(frames.frames, n=cfg.fft_size, axis=1))
+    return _log_mel(np.abs(np.fft.rfft(frames.frames, n=cfg.fft_size, axis=1)),
+                    filterbank, cfg)
+
+
+def _log_mel(magnitude: np.ndarray, filterbank: MelFilterbank,
+             cfg: FrameConfig) -> MelSpectrogram:
+    """Floored log mel energies of FFT magnitude rows. The product takes the
+    whole matrix at once: BLAS rounds it differently in small row blocks."""
     mel_energy = magnitude @ filterbank.weights.T
     return MelSpectrogram(np.log(np.maximum(mel_energy, MEL_LOG_FLOOR)), cfg)
 

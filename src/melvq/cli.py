@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import synthesis
-from .analysis import FrameConfig, build_mel_filterbank, compute_mfcc, frame_signal, mfcc, log_mel_spectrogram
+from .analysis import FrameConfig, _log_mel, build_mel_filterbank, compute_mfcc, frame_signal, mfcc
 from .bitstream import STREAM_MAGIC, EncodedStream, encode_audio, stream_bitrate
 from .errors import (
     FormatError,
@@ -153,15 +153,15 @@ def _evaluate_pair(ref_path: str, deg_path: str, cfg: FrameConfig) -> QualityRep
     except ValueError:
         stoi_value = None
     filterbank = build_mel_filterbank(cfg)
-    ref_frames = frame_signal(reference, cfg)
-    deg_frames = frame_signal(degraded, cfg)
-    ref_mel = log_mel_spectrogram(ref_frames, filterbank)
-    deg_mel = log_mel_spectrogram(deg_frames, filterbank)
+    ref_mag = magnitude_spectrogram(frame_signal(reference, cfg))
+    deg_mag = magnitude_spectrogram(frame_signal(degraded, cfg))
+    ref_mel = _log_mel(ref_mag.values, filterbank, cfg)
+    deg_mel = _log_mel(deg_mag.values, filterbank, cfg)
     report = QualityReport(
         Path(ref_path).stem,
         stoi_value,
         mcd(mfcc(ref_mel), mfcc(deg_mel)),
-        lsd(magnitude_spectrogram(ref_frames), magnitude_spectrogram(deg_frames)),
+        lsd(ref_mag, deg_mag),
         seg_snr(reference, degraded),
     )
     return report

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import MfccMatrix
+from .analysis import MfccMatrix, _frame_view
 from .signal_io import AudioBuffer
 from .synthesis import MagnitudeSpectrogram
 
@@ -128,12 +128,6 @@ def _resample_sinc(x: np.ndarray, fs_in: int, fs_out: int,
     return out
 
 
-def _frame_rows(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
-    num = 1 + (x.size - frame_len) // hop
-    offsets = hop * np.arange(num)[:, None]
-    return x[offsets + np.arange(frame_len)[None, :]]
-
-
 def _third_octave_bands(fs: int, nfft: int, num_bands: int,
                         min_freq_hz: float) -> np.ndarray:
     """0/1 matrix mapping FFT bins to one-third-octave bands."""
@@ -162,8 +156,8 @@ def stoi(reference: AudioBuffer, degraded: AudioBuffer) -> float:
     if x.size < STOI_FRAME_LEN:
         raise ValueError("signals shorter than one analysis frame")
     window = np.hanning(STOI_FRAME_LEN + 2)[1:-1]
-    x_frames = _frame_rows(x, STOI_FRAME_LEN, STOI_HOP) * window
-    y_frames = _frame_rows(y, STOI_FRAME_LEN, STOI_HOP) * window
+    x_frames = _frame_view(x, STOI_FRAME_LEN, STOI_HOP) * window
+    y_frames = _frame_view(y, STOI_FRAME_LEN, STOI_HOP) * window
 
     energies_db = 20.0 * np.log10(np.linalg.norm(x_frames, axis=1) + _EPS)
     keep = energies_db > energies_db.max() - STOI_DYN_RANGE_DB

@@ -7,6 +7,12 @@ mel filterbank with negative leakage clamped to zero. A deterministic
 Griffin-Lim loop (zero-phase start, fixed iteration count) recovers a phase,
 and weighted overlap-add with the analysis Hamming window reconstructs the
 waveform. Decoded audio always has length (frame_count - 1) * shift + length.
+
+Griffin-Lim reuses buffers allocated once per call and writes the float bits
+of the plain loop kept as the tests' oracle: overlap-add adds one frame phase
+at a time, last phase first, so each sample sums its frames in ascending
+order from +0; and c * (1/|c|) equals numpy's complex-by-real divide
+(a + b*0) * (1/s) + (b - a*0) * (1/s) j up to zero signs, which that +0 drops.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from .analysis import (
     FrameMatrix,
     MelFilterbank,
     MelSpectrogram,
+    _frame_view,
     _idct,
     build_mel_filterbank,
     hamming_window,
@@ -89,19 +96,28 @@ def mel_to_linear(mel: MelSpectrogram, filterbank: MelFilterbank) -> MagnitudeSp
     return MagnitudeSpectrogram(np.maximum(linear, 0.0), mel.config)
 
 
-def _wola(frames: np.ndarray, window: np.ndarray, frame_shift: int) -> np.ndarray:
-    """Weighted overlap-add: window each frame, sum at the hop, divide by the
-    accumulated squared window."""
+def _overlap(frames: np.ndarray, frame_shift: int,
+             rows: np.ndarray | None = None) -> np.ndarray:
+    """Sum frames placed frame_shift apart; return the samples they cover.
+
+    rows holds frame_shift samples per row, and phase r of frame m (its r-th
+    frame_shift samples) lands in row m + r. The phases are added from the
+    last to the first, so each sample sums its frames in ascending order."""
     num_frames, frame_len = frames.shape
-    out_len = (num_frames - 1) * frame_shift + frame_len
-    numerator = np.zeros(out_len)
-    denominator = np.zeros(out_len)
-    window_sq = window * window
-    for m in range(num_frames):
-        start = m * frame_shift
-        numerator[start:start + frame_len] += frames[m] * window
-        denominator[start:start + frame_len] += window_sq
-    return numerator / np.maximum(denominator, WOLA_FLOOR)
+    phases = -(-frame_len // frame_shift)
+    if rows is None:
+        rows = np.empty((num_frames + phases - 1, frame_shift))
+    rows.fill(0.0)
+    for r in reversed(range(phases)):
+        part = frames[:, r * frame_shift:(r + 1) * frame_shift]
+        rows[r:r + num_frames, :part.shape[1]] += part
+    return rows.reshape(-1)[:(num_frames - 1) * frame_shift + frame_len]
+
+
+def _wola_denominator(window: np.ndarray, frame_shift: int, num_frames: int) -> np.ndarray:
+    """The floored sum of squared windows that overlap-add divides by."""
+    squared = np.broadcast_to(window * window, (num_frames, window.size))
+    return np.maximum(_overlap(squared, frame_shift), WOLA_FLOOR)
 
 
 def overlap_add(frames: np.ndarray, window: np.ndarray, frame_shift: int,
@@ -118,15 +134,8 @@ def overlap_add(frames: np.ndarray, window: np.ndarray, frame_shift: int,
         raise ValueError("frames must be (num_frames, len(window))")
     if frame_shift < 1:
         raise ValueError("frame_shift must be positive")
-    return AudioBuffer(_wola(frames, window, frame_shift), sample_rate_hz)
-
-
-def _stft_fixed(x: np.ndarray, window: np.ndarray, frame_shift: int,
-                num_frames: int, fft_size: int) -> np.ndarray:
-    """Forward STFT with a fixed frame count over a fully covered signal."""
-    offsets = frame_shift * np.arange(num_frames)[:, None]
-    frames = x[offsets + np.arange(window.shape[0])[None, :]] * window
-    return np.fft.rfft(frames, n=fft_size, axis=1)
+    return AudioBuffer(_overlap(frames * window, frame_shift)
+                       / _wola_denominator(window, frame_shift, len(frames)), sample_rate_hz)
 
 
 def griffin_lim(magnitude: MagnitudeSpectrogram,
@@ -141,24 +150,37 @@ def griffin_lim(magnitude: MagnitudeSpectrogram,
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     cfg = magnitude.config
-    window = hamming_window(cfg.frame_len)
+    length, shift = cfg.frame_len, cfg.frame_shift
+    window = hamming_window(length)
     num_frames = magnitude.num_frames
     target = magnitude.values.astype(np.float64)
+    denominator = _wola_denominator(window, shift, num_frames)
+    rows = np.empty((num_frames + length // shift - 1, shift))
+    estimate = np.empty(denominator.shape)
+    frames = np.empty((num_frames, length))
     spectrum = target.astype(complex)
+    consistent = np.empty_like(spectrum)
+    consistent_mag, diff, scale = (np.empty_like(target) for _ in range(3))
+    silent = np.empty(target.shape, bool)
     errors: list[float] = []
-    for _ in range(iterations):
-        estimate = _wola(np.fft.irfft(spectrum, n=cfg.frame_len, axis=1),
-                         window, cfg.frame_shift)
-        consistent = _stft_fixed(estimate, window, cfg.frame_shift,
-                                 num_frames, cfg.fft_size)
-        consistent_mag = np.abs(consistent)
-        errors.append(float(np.linalg.norm(consistent_mag - target)))
-        safe = np.where(consistent_mag == 0.0, 1.0, consistent_mag)
-        phase = np.where(consistent_mag == 0.0, 1.0 + 0.0j, consistent / safe)
-        spectrum = target * phase
-    estimate = _wola(np.fft.irfft(spectrum, n=cfg.frame_len, axis=1),
-                     window, cfg.frame_shift)
-    return AudioBuffer(estimate, cfg.sample_rate_hz), errors
+    while True:
+        np.fft.irfft(spectrum, n=length, axis=1, out=frames)
+        np.multiply(frames, window, out=frames)
+        np.divide(_overlap(frames, shift, rows), denominator, out=estimate)
+        if len(errors) == iterations:
+            return AudioBuffer(estimate, cfg.sample_rate_hz), errors
+        np.multiply(_frame_view(estimate, length, shift), window, out=frames)
+        np.fft.rfft(frames, n=cfg.fft_size, axis=1, out=consistent)
+        np.abs(consistent, out=consistent_mag)
+        np.subtract(consistent_mag, target, out=diff)
+        errors.append(float(np.linalg.norm(diff)))
+        # target * consistent / |consistent|, phase 1 where |consistent| = 0
+        np.equal(consistent_mag, 0.0, out=silent)
+        np.copyto(consistent_mag, 1.0, where=silent)
+        np.divide(1.0, consistent_mag, out=scale)
+        np.multiply(consistent, scale, out=spectrum)
+        np.copyto(spectrum, 1.0, where=silent)
+        spectrum *= target
 
 
 def export_mel(mel: MelSpectrogram, path) -> None:

@@ -13,6 +13,10 @@ require the replacement to give the same results bit for bit.
   bit, the resampler to float rounding.
 - `fnv1a64`: the byte loop of `melvq.quantizer.fnv1a64` before the
   vectorised digest. Every input must give the same 64-bit value.
+- `_wola`, `_stft_fixed` and `griffin_lim`: the frame-by-frame overlap-add,
+  the index-gather re-analysis and the Griffin-Lim loop of
+  `melvq.synthesis` before the fixed-working-set kernel. `overlap_add` and
+  `griffin_lim` must return the same float bytes and the same error list.
 """
 
 from __future__ import annotations
@@ -33,7 +37,9 @@ from melvq.quantizer import (
     CodebookSet,
     VectorCodebook,
 )
+from melvq.analysis import hamming_window
 from melvq.signal_io import PCM16_FULL_SCALE, PCM16_MAX_SAMPLE, AudioBuffer
+from melvq.synthesis import DEFAULT_GL_ITERATIONS, WOLA_FLOOR, MagnitudeSpectrogram
 
 
 def fnv1a64(data: bytes) -> int:
@@ -125,3 +131,58 @@ def write_wav(path, audio: AudioBuffer) -> None:
     clipped = np.clip(audio.samples, -1.0, PCM16_MAX_SAMPLE)
     pcm = np.round(clipped * PCM16_FULL_SCALE).astype(np.int16)
     wavfile.write(path, audio.sample_rate_hz, pcm)
+
+
+def _wola(frames: np.ndarray, window: np.ndarray, frame_shift: int) -> np.ndarray:
+    """Weighted overlap-add: window each frame, sum at the hop, divide by the
+    accumulated squared window."""
+    num_frames, frame_len = frames.shape
+    out_len = (num_frames - 1) * frame_shift + frame_len
+    numerator = np.zeros(out_len)
+    denominator = np.zeros(out_len)
+    window_sq = window * window
+    for m in range(num_frames):
+        start = m * frame_shift
+        numerator[start:start + frame_len] += frames[m] * window
+        denominator[start:start + frame_len] += window_sq
+    return numerator / np.maximum(denominator, WOLA_FLOOR)
+
+
+def _stft_fixed(x: np.ndarray, window: np.ndarray, frame_shift: int,
+                num_frames: int, fft_size: int) -> np.ndarray:
+    """Forward STFT with a fixed frame count over a fully covered signal."""
+    offsets = frame_shift * np.arange(num_frames)[:, None]
+    frames = x[offsets + np.arange(window.shape[0])[None, :]] * window
+    return np.fft.rfft(frames, n=fft_size, axis=1)
+
+
+def griffin_lim(magnitude: MagnitudeSpectrogram,
+                iterations: int = DEFAULT_GL_ITERATIONS) -> tuple[AudioBuffer, list[float]]:
+    """Phase reconstruction by alternating projections, zero-phase start.
+
+    Each iteration synthesizes a signal estimate by WOLA, re-analyzes it, and
+    keeps the resulting phase under the target magnitude. Returns the final
+    signal and the per-iteration consistency errors
+    ||  |STFT(x_t)| - magnitude ||_F, a non-increasing sequence.
+    """
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
+    cfg = magnitude.config
+    window = hamming_window(cfg.frame_len)
+    num_frames = magnitude.num_frames
+    target = magnitude.values.astype(np.float64)
+    spectrum = target.astype(complex)
+    errors: list[float] = []
+    for _ in range(iterations):
+        estimate = _wola(np.fft.irfft(spectrum, n=cfg.frame_len, axis=1),
+                         window, cfg.frame_shift)
+        consistent = _stft_fixed(estimate, window, cfg.frame_shift,
+                                 num_frames, cfg.fft_size)
+        consistent_mag = np.abs(consistent)
+        errors.append(float(np.linalg.norm(consistent_mag - target)))
+        safe = np.where(consistent_mag == 0.0, 1.0, consistent_mag)
+        phase = np.where(consistent_mag == 0.0, 1.0 + 0.0j, consistent / safe)
+        spectrum = target * phase
+    estimate = _wola(np.fft.irfft(spectrum, n=cfg.frame_len, axis=1),
+                     window, cfg.frame_shift)
+    return AudioBuffer(estimate, cfg.sample_rate_hz), errors

@@ -12,11 +12,20 @@ import pytest
 from scipy.io import wavfile
 
 import melvq
+from melvq.analysis import (
+    FrameConfig,
+    build_mel_filterbank,
+    frame_signal,
+    log_mel_spectrogram,
+    mfcc,
+)
 from melvq.bitstream import pack
 from melvq.cli import main
+from melvq.metrics import QualityReport, lsd, mcd, seg_snr, stoi
 from melvq.quantizer import RateMode, fnv1a64
-from melvq.signal_io import read_wav, write_wav
+from melvq.signal_io import AudioBuffer, read_wav, write_wav
 from melvq.signals import speech_like
+from melvq.synthesis import magnitude_spectrogram
 from melvq.trainer import load_codebooks
 
 
@@ -133,6 +142,27 @@ def test_eval_manifest_with_mean_footer(corpus_dir, capsys):
     assert len(lines) == 3
     assert lines[-1].startswith("MEAN ")
     assert "stoi=1.000000" in lines[0]
+
+
+def test_eval_line_matches_the_two_fft_chain(corpus_dir, capsys):
+    """eval takes one FFT per signal; its line equals the one built from
+    log_mel_spectrogram and magnitude_spectrogram, which take one each."""
+    ref_path, deg_path = corpus_dir / "train_2.wav", corpus_dir / "train_3.wav"
+    assert main(["eval", str(ref_path), str(deg_path)]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    cfg = FrameConfig()
+    ref, deg = read_wav(ref_path), read_wav(deg_path)
+    n = min(len(ref), len(deg))
+    ref, deg = AudioBuffer(ref.samples[:n], 16000), AudioBuffer(deg.samples[:n], 16000)
+    fb = build_mel_filterbank(cfg)
+    ref_frames, deg_frames = frame_signal(ref, cfg), frame_signal(deg, cfg)
+    expected = QualityReport(
+        "train_2", stoi(ref, deg),
+        mcd(mfcc(log_mel_spectrogram(ref_frames, fb)),
+            mfcc(log_mel_spectrogram(deg_frames, fb))),
+        lsd(magnitude_spectrogram(ref_frames), magnitude_spectrogram(deg_frames)),
+        seg_snr(ref, deg))
+    assert line == expected.format_line()
 
 
 def test_exit_codes(corpus_dir, capsys):

@@ -6,12 +6,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import reference
 from melvq.analysis import (
     FrameConfig,
     MelSpectrogram,
     build_mel_filterbank,
     compute_mfcc,
     frame_signal,
+    hamming_window,
     log_mel_spectrogram,
 )
 from melvq.bitstream import encode_audio, pack
@@ -23,6 +25,7 @@ from melvq.signals import speech_like, tone
 from melvq.synthesis import (
     MELSPEC_HEADER_LEN,
     MELSPEC_MAGIC,
+    MagnitudeSpectrogram,
     decode_stream,
     export_mel,
     griffin_lim,
@@ -32,6 +35,9 @@ from melvq.synthesis import (
     mel_to_linear,
     overlap_add,
 )
+
+# (frame_len, frame_shift) pairs whose frame_len / frame_shift is 1, 2, 4 or 8
+GEOMETRIES = [(1024, 256), (512, 128), (1024, 512), (1024, 1024), (512, 64)]
 
 # ------------------------------------------------------------- inverse DCT
 
@@ -116,6 +122,19 @@ def test_overlap_add_zero_frames(frame_config):
     assert len(rec) == 3 * 256 + 1024
 
 
+@pytest.mark.parametrize("frame_len,frame_shift",
+                         GEOMETRIES + [(1000, 300), (256, 400)])
+@pytest.mark.parametrize("num_frames", [1, 2, 9])
+def test_overlap_add_matches_the_frame_loop(frame_len, frame_shift, num_frames):
+    """Same float bytes as the loop over frames, also for a shift that does
+    not divide the frame or exceeds it."""
+    rng = np.random.default_rng(frame_len + frame_shift + num_frames)
+    frames = rng.standard_normal((num_frames, frame_len))
+    window = hamming_window(frame_len)
+    rec = overlap_add(frames, window, frame_shift)
+    assert rec.samples.tobytes() == reference._wola(frames, window, frame_shift).tobytes()
+
+
 def test_overlap_add_shape_mismatch():
     with pytest.raises(ValueError):
         overlap_add(np.zeros((2, 512)), np.hamming(1024), 256)
@@ -175,6 +194,47 @@ def test_griffin_lim_deterministic(frame_config):
     a, _ = griffin_lim(mag, iterations=10)
     b, _ = griffin_lim(mag, iterations=10)
     assert np.array_equal(a.samples, b.samples)
+
+
+def _assert_griffin_lim_matches_reference(magnitude, iterations):
+    audio, errors = griffin_lim(magnitude, iterations)
+    ref_audio, ref_errors = reference.griffin_lim(magnitude, iterations)
+    assert audio.samples.tobytes() == ref_audio.samples.tobytes()
+    assert errors == ref_errors
+
+
+@pytest.mark.parametrize("iterations", [1, 8])
+def test_griffin_lim_matches_reference_on_speech(frame_config, iterations):
+    mag = magnitude_spectrogram(frame_signal(speech_like(6.0, seed=1), frame_config))
+    _assert_griffin_lim_matches_reference(mag, iterations)
+
+
+@pytest.mark.parametrize("frame_len,frame_shift", GEOMETRIES)
+@pytest.mark.parametrize("num_frames", [1, 2, 7, 40])
+@pytest.mark.parametrize("iterations", [1, 8])
+def test_griffin_lim_matches_reference_on_zero_bins_and_silent_frames(
+        frame_len, frame_shift, num_frames, iterations):
+    """Random magnitudes with exact-zero bins, isolated silent frames and a
+    silent run long enough that whole re-analysis frames come out zero."""
+    cfg = FrameConfig(frame_len=frame_len, frame_shift=frame_shift,
+                      fft_size=frame_len, num_bands=40)
+    rng = np.random.default_rng(frame_len + frame_shift + num_frames)
+    values = rng.random((num_frames, cfg.num_bins)) * rng.choice(
+        [0.0, 1.0, 30.0], size=(num_frames, cfg.num_bins), p=[0.2, 0.4, 0.4])
+    values[1::3] = 0.0
+    values[num_frames // 4:num_frames // 4 + 2 * frame_len // frame_shift + 1] = 0.0
+    _assert_griffin_lim_matches_reference(MagnitudeSpectrogram(values, cfg), iterations)
+
+
+def test_frame_signal_matches_the_index_gather(frame_config):
+    """The strided frames give the same spectrum bits as the index gather."""
+    audio = speech_like(0.7, seed=8)
+    fm = frame_signal(audio, frame_config)
+    padded = np.zeros((fm.num_frames - 1) * frame_config.frame_shift + frame_config.frame_len)
+    padded[:len(audio)] = audio.samples
+    expected = reference._stft_fixed(padded, fm.window, frame_config.frame_shift,
+                                     fm.num_frames, frame_config.fft_size)
+    assert np.fft.rfft(fm.frames, axis=1).tobytes() == expected.tobytes()
 
 
 def test_griffin_lim_requires_iterations(frame_config):

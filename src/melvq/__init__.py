@@ -24,7 +24,11 @@ from .analysis import (
 from .bitstream import (
     EncodedStream,
     encode_audio,
+    export_mel,
+    import_mel,
+    load_codebooks,
     pack,
+    save_codebooks,
     stream_bitrate,
     stream_codes,
     unpack_codes,
@@ -51,18 +55,14 @@ from .signal_io import AudioBuffer, read_wav, write_wav
 from .synthesis import (
     MagnitudeSpectrogram,
     decode_stream,
-    export_mel,
     griffin_lim,
     idct_mel,
-    import_mel,
     mel_to_linear,
     overlap_add,
 )
 from .trainer import (
     TrainingCorpus,
     TrainReport,
-    load_codebooks,
-    save_codebooks,
     train_codebook_set,
     train_lbg,
     train_msvq,

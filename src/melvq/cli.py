@@ -6,7 +6,8 @@ Exit codes are distinct per error class:
     2  usage error (bad arguments, malformed flag values)
     3  file I/O error (missing or unreadable input)
     4  sample-rate mismatch (codec input must be 16 kHz)
-    5  container format error (bad magic/version, truncation, mode mismatch)
+    5  container format error (bad magic/version, truncation, mode mismatch,
+       codebook content that overflows decoding)
     6  codebook hash mismatch between a stream and the loaded codebooks
     7  insufficient training data for the requested codebook size
 
@@ -24,7 +25,8 @@ import numpy as np
 
 from . import synthesis
 from .analysis import FrameConfig, _log_mel, build_mel_filterbank, compute_mfcc, frame_signal, mfcc
-from .bitstream import STREAM_MAGIC, EncodedStream, encode_audio, stream_bitrate
+from .bitstream import (CODEBOOK_MAGIC, MELSPEC_MAGIC, STREAM_MAGIC, EncodedStream, encode_audio,
+                        export_mel, import_mel, load_codebooks, save_codebooks, stream_bitrate)
 from .errors import (
     FormatError,
     HashMismatchError,
@@ -32,15 +34,10 @@ from .errors import (
     SampleRateError,
 )
 from .metrics import QualityReport, lsd, mcd, seg_snr, stoi
-from .quantizer import CODEBOOK_MAGIC, DEFAULT_BEAM_WIDTH, RateMode
+from .quantizer import DEFAULT_BEAM_WIDTH, RateMode
 from .signal_io import AudioBuffer, read_wav, write_wav
-from .synthesis import MELSPEC_MAGIC, export_mel, import_mel, magnitude_spectrogram
-from .trainer import (
-    TrainingCorpus,
-    load_codebooks,
-    save_codebooks,
-    train_codebook_set,
-)
+from .synthesis import magnitude_spectrogram
+from .trainer import TrainingCorpus, train_codebook_set
 from .workers import ordered_map
 
 EXIT_OK = 0

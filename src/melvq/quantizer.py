@@ -219,14 +219,7 @@ class CodebookSet:
 
 
 def codebook_payload(codebooks: CodebookSet) -> bytes:
-    """Serialize a codebook set minus its trailing hash field.
-
-    Layout: magic "MVQB", version byte, rate-mode byte (0 for 1000 bit/s,
-    1 for 2000 bit/s), energy bit width, vector dimension as 16-bit LE, one
-    bit-width byte per VQ stage, then each stage's table as row-major
-    float32 LE, the energy levels first. The file format appends the 64-bit
-    FNV-1a digest of these bytes.
-    """
+    """A .mvqb file minus its trailing digest (layout in melvq.bitstream)."""
     parts = [
         CODEBOOK_MAGIC,
         bytes([CODEBOOK_VERSION, codebooks.rate_mode.wire_byte, codebooks.stages[0].bits]),

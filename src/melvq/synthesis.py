@@ -13,12 +13,13 @@ of the plain loop kept as the tests' oracle: overlap-add adds one frame phase
 at a time, last phase first, so each sample sums its frames in ascending
 order from +0; and c * (1/|c|) equals numpy's complex-by-real divide
 (a + b*0) * (1/s) + (b - a*0) * (1/s) j up to zero signs, which that +0 drops.
+Bins with |c| <= 2**-1024, where 1/|c| would overflow, take phase 1 like
+|c| = 0; the oracle's divide gives inf or NaN there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -39,10 +40,7 @@ from .signal_io import AudioBuffer
 
 DEFAULT_GL_ITERATIONS = 60
 WOLA_FLOOR = 1e-8  # floor on the accumulated squared window before division
-
-MELSPEC_MAGIC = b"MELS"
-MELSPEC_VERSION = 1
-MELSPEC_HEADER_LEN = 25
+_TINY = 2.0 ** -1024  # the largest magnitude whose reciprocal overflows
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,54 +172,13 @@ def griffin_lim(magnitude: MagnitudeSpectrogram,
         np.abs(consistent, out=consistent_mag)
         np.subtract(consistent_mag, target, out=diff)
         errors.append(float(np.linalg.norm(diff)))
-        # target * consistent / |consistent|, phase 1 where |consistent| = 0
-        np.equal(consistent_mag, 0.0, out=silent)
+        # target * consistent / |consistent|, phase 1 where 1/|consistent| overflows
+        np.less_equal(consistent_mag, _TINY, out=silent)
         np.copyto(consistent_mag, 1.0, where=silent)
         np.divide(1.0, consistent_mag, out=scale)
         np.multiply(consistent, scale, out=spectrum)
         np.copyto(spectrum, 1.0, where=silent)
         spectrum *= target
-
-
-def export_mel(mel: MelSpectrogram, path) -> None:
-    """Write a mel-spectrogram container for external vocoders.
-
-    Layout: magic "MELS", version byte, then frame count, band count, sample
-    rate, frame length, and frame shift as unsigned 32-bit LE (25 header
-    bytes), followed by the values as row-major float32 LE.
-    """
-    cfg = mel.config
-    header = MELSPEC_MAGIC + bytes([MELSPEC_VERSION])
-    for value in (mel.values.shape[0], cfg.num_bands, cfg.sample_rate_hz,
-                  cfg.frame_len, cfg.frame_shift):
-        header += int(value).to_bytes(4, "little")
-    Path(path).write_bytes(header + mel.values.astype("<f4").tobytes())
-
-
-def import_mel(path) -> MelSpectrogram:
-    """Read a mel-spectrogram container written by export_mel."""
-    data = Path(path).read_bytes()
-    if len(data) < MELSPEC_HEADER_LEN:
-        raise FormatError(f"{path}: truncated mel-spectrogram header")
-    if data[:4] != MELSPEC_MAGIC:
-        raise FormatError(f"{path}: bad magic {data[:4]!r}")
-    if data[4] != MELSPEC_VERSION:
-        raise FormatError(f"{path}: unsupported version {data[4]}")
-    num_frames, num_bands, rate, frame_len, frame_shift = (
-        int.from_bytes(data[5 + 4 * i:9 + 4 * i], "little") for i in range(5)
-    )
-    expected = MELSPEC_HEADER_LEN + 4 * num_frames * num_bands
-    if len(data) != expected:
-        raise FormatError(f"{path}: payload size does not match the header")
-    values = np.frombuffer(data, dtype="<f4", offset=MELSPEC_HEADER_LEN,
-                           count=num_frames * num_bands)
-    try:
-        cfg = FrameConfig(sample_rate_hz=rate, frame_len=frame_len,
-                          frame_shift=frame_shift, fft_size=frame_len,
-                          num_bands=num_bands)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    return MelSpectrogram(values.reshape(num_frames, num_bands).astype(np.float64), cfg)
 
 
 def decode_stream(stream: EncodedStream, codebooks: CodebookSet,
@@ -231,7 +188,8 @@ def decode_stream(stream: EncodedStream, codebooks: CodebookSet,
 
     The stream's codebook hash must match the loaded codebooks. The decoded
     signal has exactly (frame_count - 1) * frame_shift + frame_len samples
-    and is clamped to [-1, 1].
+    and is clamped to [-1, 1]. Codebook content that overflows decoding
+    raises FormatError.
     """
     return _decode(stream, codebooks, gl_iterations, config or FrameConfig())[0]
 
@@ -251,7 +209,14 @@ def _decode(stream: EncodedStream, codebooks: CodebookSet, gl_iterations: int,
         raise ValueError("codebook dimension does not match the frame config")
     coefficients = dequantize(unpack_codes(stream), codebooks)
     mel = MelSpectrogram(idct_mel(coefficients), cfg)
-    spectrogram = mel_to_linear(mel, build_mel_filterbank(cfg))
-    audio, _ = griffin_lim(spectrogram, gl_iterations)
+    # huge codebook levels overflow exp or Griffin-Lim: a content error
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            spectrogram = mel_to_linear(mel, build_mel_filterbank(cfg))
+            audio, _ = griffin_lim(spectrogram, gl_iterations)
+        except ValueError as exc:
+            if "must be finite" not in str(exc):
+                raise
+            raise FormatError(f"codebook content overflows decoding: {exc}") from exc
     samples = np.clip(audio.samples, -1.0, 1.0)
     return AudioBuffer(samples, cfg.sample_rate_hz), mel

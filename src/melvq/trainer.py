@@ -14,20 +14,11 @@ accumulated in a fixed chunk order so results do not depend on worker counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, HashMismatchError, InsufficientDataError
-from .quantizer import (
-    CODEBOOK_MAGIC,
-    CODEBOOK_VERSION,
-    CodebookSet,
-    RateMode,
-    VectorCodebook,
-    codebook_payload,
-    fnv1a64,
-)
+from .errors import InsufficientDataError
+from .quantizer import CodebookSet, RateMode, VectorCodebook
 
 LLOYD_REL_TOL = 1e-4     # stop when the relative distortion drop falls below this
 LLOYD_MAX_ITERS = 50     # per Lloyd pass
@@ -233,67 +224,3 @@ def train_codebook_set(corpus: TrainingCorpus, mode: RateMode,
     reports = {"scalar": energy_report, _VQ_REPORT_NAMES[len(stages)]: vq_report}
     return CodebookSet(mode, (energy,) + stages), reports
 
-
-def save_codebooks(codebooks: CodebookSet, path) -> None:
-    """Write the codebook container: payload then its 64-bit FNV-1a digest."""
-    payload = codebook_payload(codebooks)
-    Path(path).write_bytes(payload + codebooks.content_hash.to_bytes(8, "little"))
-
-
-def load_codebooks(path, expected_mode: RateMode | None = None) -> CodebookSet:
-    """Read and verify a codebook container.
-
-    The stored digest is checked against the payload bytes before the
-    contents are parsed, and the parsed set must serialize back to exactly
-    those bytes. Pass expected_mode to reject a file trained for the other
-    rate.
-    """
-    data = Path(path).read_bytes()
-    header_len = len(CODEBOOK_MAGIC) + 3 + 2
-    if len(data) < header_len + 8:
-        raise FormatError(f"{path}: truncated codebook file")
-    if data[:4] != CODEBOOK_MAGIC:
-        raise FormatError(f"{path}: bad magic {data[:4]!r}")
-    version, mode_byte = data[4], data[5]
-    if version != CODEBOOK_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    try:
-        mode = RateMode.from_wire_byte(mode_byte)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    dim = int.from_bytes(data[7:9], "little")
-    num_vq = len(mode.field_bits) - 1
-    offset = header_len + num_vq
-    bits = (data[6], *data[header_len:offset])
-    dims = (1,) + (dim,) * num_vq
-    expected_len = offset + 4 * sum(2 ** b * d for b, d in zip(bits, dims)) + 8
-    if len(data) < expected_len:
-        raise FormatError(f"{path}: truncated codebook file")
-    if len(data) > expected_len:
-        raise FormatError(f"{path}: trailing garbage after codebook payload")
-    stored = int.from_bytes(data[-8:], "little")
-    payload = memoryview(data)[:-8]
-    computed = fnv1a64(payload)
-    if stored != computed:
-        raise HashMismatchError(
-            f"{path}: stored hash {stored:016x} != computed {computed:016x}"
-        )
-    stages = []
-    try:
-        for b, d in zip(bits, dims):
-            flat = np.frombuffer(data, dtype="<f4", count=2 ** b * d, offset=offset)
-            stages.append(VectorCodebook(flat.reshape(2 ** b, d).copy(), b))
-            offset += flat.nbytes
-        codebooks = CodebookSet(mode, tuple(stages), content_hash=computed)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    # startswith compares in place; == on a memoryview goes item by item
-    serialized = codebook_payload(codebooks)
-    if len(serialized) != len(payload) or not data.startswith(serialized):
-        raise HashMismatchError(f"{path}: payload does not re-serialize to the hashed bytes")
-    if expected_mode is not None and mode is not expected_mode:
-        raise FormatError(
-            f"{path}: codebook is for {mode.value} bit/s, "
-            f"expected {expected_mode.value} bit/s"
-        )
-    return codebooks

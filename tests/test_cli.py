@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from scipy.io import wavfile
 
 import melvq
+from melvq import import_mel, load_codebooks
 from melvq.analysis import (
     FrameConfig,
     build_mel_filterbank,
@@ -26,7 +28,6 @@ from melvq.quantizer import RateMode, fnv1a64
 from melvq.signal_io import AudioBuffer, read_wav, write_wav
 from melvq.signals import speech_like
 from melvq.synthesis import magnitude_spectrogram
-from melvq.trainer import load_codebooks
 
 
 @pytest.fixture()
@@ -101,8 +102,6 @@ def test_decode_emit_mel(corpus_dir):
     assert main(["decode", stream, str(corpus_dir / "rec.wav"),
                  "--codebook", book, "--gl-iters", "5",
                  "--emit-mel", str(mel_path)]) == 0
-    from melvq.synthesis import import_mel
-
     mel = import_mel(mel_path)
     assert mel.values.shape[1] == 80
     assert mel.values.shape[0] > 0
@@ -214,6 +213,24 @@ def test_exit_codes(corpus_dir, capsys):
     narrow.write_bytes(_codebook_bytes(levels, 2, np.arange(12.0).reshape(4, 3)))
     assert main(["encode", wav_in, str(corpus_dir / "x.mvqc"), "--codebook", str(narrow)]) == 2
     assert "codebook dimension does not match" in capsys.readouterr().err
+    # 5: a valid 79-dim book whose top energy level overflows decoding, in
+    # Griffin-Lim (6330) or in exp (6360, 1e4), with no numpy warning; levels
+    # near -6340 give subnormal magnitudes, which decode
+    for levels, index, code in (([0, 1, 2, 6330], 3, 5), ([0, 1, 2, 6360], 3, 5),
+                                ([0, 1, 2, 1e4], 3, 5), ([-6340, -6330, -6320, -6310], 0, 0)):
+        huge, loud = corpus_dir / "huge.mvqb", corpus_dir / "loud.mvqc"
+        huge.write_bytes(_codebook_bytes(np.array(levels, float), 2, np.zeros((4, 79))))
+        loud.write_bytes(pack([[index, 0]] * 5, RateMode.R1000,
+                              load_codebooks(huge).content_hash).to_bytes())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["decode", str(loud), str(corpus_dir / "x.wav"),
+                         "--codebook", str(huge), "--gl-iters", "3"]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: codebook content overflows") and err.count("\n") == 1
+        else:
+            assert err == ""
     # 5: a mel header whose frame config is invalid (shift does not divide
     # the frame length; no bands)
     for frame_len, bands in ((1000, 80), (1024, 0)):

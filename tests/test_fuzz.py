@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from melvq import save_codebooks
 from melvq.cli import main
 from melvq.quantizer import fnv1a64
 from melvq.signal_io import write_wav
 from melvq.signals import speech_like
-from melvq.trainer import save_codebooks
 
 WAV_HEADER_LEN = 44
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import reference
+from melvq import export_mel, import_mel
 from melvq.analysis import (
     FrameConfig,
     MelSpectrogram,
@@ -16,21 +17,17 @@ from melvq.analysis import (
     hamming_window,
     log_mel_spectrogram,
 )
-from melvq.bitstream import encode_audio, pack
+from melvq.bitstream import MELSPEC_HEADER_LEN, MELSPEC_MAGIC, encode_audio, pack
 from melvq.errors import FormatError, HashMismatchError
 from melvq.metrics import seg_snr
 from melvq.quantizer import RateMode
 from melvq.signal_io import AudioBuffer
 from melvq.signals import speech_like, tone
 from melvq.synthesis import (
-    MELSPEC_HEADER_LEN,
-    MELSPEC_MAGIC,
     MagnitudeSpectrogram,
     decode_stream,
-    export_mel,
     griffin_lim,
     idct_mel,
-    import_mel,
     magnitude_spectrogram,
     mel_to_linear,
     overlap_add,
@@ -225,6 +222,19 @@ def test_griffin_lim_matches_reference_on_zero_bins_and_silent_frames(
     values[num_frames // 4:num_frames // 4 + 2 * frame_len // frame_shift + 1] = 0.0
     _assert_griffin_lim_matches_reference(MagnitudeSpectrogram(values, cfg), iterations)
 
+
+
+@pytest.mark.parametrize("frame_len,frame_shift", [(1024, 1024), (1024, 256)])
+def test_griffin_lim_survives_subnormal_magnitudes(frame_len, frame_shift):
+    """Where 1/|c| would overflow the phase is 1, as where |c| = 0, so tiny
+    frames give finite samples; unscaled, the output equals the oracle's."""
+    cfg = FrameConfig(frame_len=frame_len, frame_shift=frame_shift,
+                      fft_size=frame_len, num_bands=40)
+    values = np.random.default_rng(frame_shift).random((20, cfg.num_bins))
+    _assert_griffin_lim_matches_reference(MagnitudeSpectrogram(values, cfg), 8)
+    values[5:16] *= np.logspace(-305, -321, 11)[:, None]
+    audio, errors = griffin_lim(MagnitudeSpectrogram(values, cfg), 8)
+    assert np.all(np.isfinite(audio.samples)) and np.all(np.isfinite(errors))
 
 def test_frame_signal_matches_the_index_gather(frame_config):
     """The strided frames give the same spectrum bits as the index gather."""

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from melvq import load_codebooks, save_codebooks
 from melvq.errors import FormatError, HashMismatchError, InsufficientDataError
 from melvq.quantizer import RateMode, fnv1a64
 from melvq.trainer import (
     LLOYD_REL_TOL,
     SPLIT_EPSILON,
     TrainingCorpus,
-    load_codebooks,
-    save_codebooks,
     train_codebook_set,
     train_lbg,
     train_msvq,
@@ -226,8 +225,7 @@ def test_load_rejects_corrupt_payload(tmp_path, cb1000):
 
 
 def test_codebooks_hashed_once_per_load_and_not_on_save(tmp_path, cb2000, monkeypatch):
-    import melvq.quantizer
-    import melvq.trainer
+    import sys
 
     hashed = []
 
@@ -235,8 +233,10 @@ def test_codebooks_hashed_once_per_load_and_not_on_save(tmp_path, cb2000, monkey
         hashed.append(len(data))
         return fnv1a64(data)
 
-    monkeypatch.setattr(melvq.trainer, "fnv1a64", counting)
-    monkeypatch.setattr(melvq.quantizer, "fnv1a64", counting)
+    # every module binding, as the benchmark's tracer patches them
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "melvq" and getattr(module, "fnv1a64", None) is fnv1a64:
+            monkeypatch.setattr(module, "fnv1a64", counting)
     path = tmp_path / "books.mvqb"
     save_codebooks(cb2000, path)
     assert hashed == []

@@ -13,12 +13,13 @@ array.
 
 The search is batched and exact. Blocks of at most _BLOCK_ROWS rows (frames,
 or (frame, beam entry) residuals) are scored against every codeword by one
-float32 GEMM. Every codeword within a proven rounding margin of the cut-off
-(the beam-th smallest score, or the smallest in the last stage) is kept, and
-that shortlist is re-ranked with the float64 distance
-((c - x)**2).sum(axis=-1). The margin holds for any BLAS summation order, FMA
-use or thread count (derivation above _shortlist), so the chosen indices,
-ties included, equal those of a full per-frame search.
+GEMM in the codewords' dtype: float32 for a book, float64 when the trainer
+assigns through this same kernel. Every codeword within a proven rounding
+margin of the cut-off (the beam-th smallest score, or the smallest in the
+last stage) is kept, and that shortlist is re-ranked with the float64
+distance ((c - x)**2).sum(axis=-1). The margin holds for any BLAS summation
+order, FMA use or thread count (derivation above _shortlist), so the chosen
+indices, ties included, equal those of a full per-frame search.
 """
 
 from __future__ import annotations
@@ -231,8 +232,10 @@ def codebook_payload(codebooks: CodebookSet) -> bytes:
 
 
 # Rows per search block: frames, or (frame, beam entry) residuals. Against
-# an 8192-word stage the block's float32 score matrix is 4 MB.
+# an 8192-word stage the block's float32 score matrix is 4 MB. A training
+# block holds _BLOCK_SCORES // k vectors of a k-word book: as many scores.
 _BLOCK_ROWS = 128
+_BLOCK_SCORES = _BLOCK_ROWS * 8192
 # Candidate pairs per exact re-rank chunk (at most 5 MB of float64 rows).
 _RERANK_PAIRS = 8192
 # Rows whose scale P exceeds this keep every codeword: float32 could overflow.
@@ -245,50 +248,53 @@ def _gamma(n: int, unit: float) -> float:
 
 
 class _Stage(NamedTuple):
-    """A VQ stage as the search reads it: the float32 codewords, their half
-    squared norms summed in float32, and the largest norm."""
+    """Codewords as the search reads them: the codewords, their half squared
+    norms summed in the codewords' dtype, and the largest norm."""
 
     codewords: np.ndarray
     half_norms: np.ndarray
     reach: float
 
     @classmethod
-    def of(cls, book: VectorCodebook) -> "_Stage":
-        sq_norms = np.einsum("ij,ij->i", book.codewords, book.codewords)
-        return cls(book.codewords, sq_norms / 2, float(np.sqrt(sq_norms.max())))
+    def of(cls, codewords: np.ndarray) -> "_Stage":
+        sq_norms = np.einsum("ij,ij->i", codewords, codewords)
+        return cls(codewords, sq_norms / 2, float(np.sqrt(sq_norms.max())))
 
 
 # The shortlist margin. Let x be a float64 row of n coefficients, c a float32
-# codeword (exact in float64), u32 = 2^-24 and u64 = 2^-53 the unit
-# roundoffs, and g(k, u) = gamma_k for unit u. The score is s = fl32(h - q),
-# where h is ||c||^2 / 2 summed in float32 and q is c . fl32(x) from a
-# float32 GEMM. The dot-product bound |fl(a . b) - a . b| <= g(n, u) |a| . |b|
-# holds for any summation order, FMA use or BLAS thread count, and with
-# Cauchy-Schwarz it gives
-#     |h - ||c||^2 / 2| <= g(n, u32) ||c||^2 / 2,
-#     |q - c . x| <= g(n + 1, u32) ||c|| ||x||,
-#     |2 s + ||x||^2 - ||c - x||^2| <= g(n + 2, u32) (||c||^2 + 2 ||c|| ||x||).
+# or float64 codeword, u the unit roundoff of c's dtype (2^-24 or 2^-53),
+# u64 = 2^-53 and g(k, u) = gamma_k. The score is s = fl(h - q) in c's dtype,
+# h being ||c||^2 / 2 summed in it and q = c . fl(x) from a GEMM in it. The
+# bound |fl(a . b) - a . b| <= g(n, u) |a| . |b| holds for any summation
+# order, FMA use or BLAS thread count, and with Cauchy-Schwarz it gives
+#     |h - ||c||^2 / 2| <= g(n, u) ||c||^2 / 2,
+#     |q - c . x| <= g(n + 1, u) ||c|| ||x||,
+#     |2 s + ||x||^2 - ||c - x||^2| <= g(n + 2, u) (||c||^2 + 2 ||c|| ||x||).
 # The exact distance d = fl64(sum (c_k - x_k)^2) rounds each difference and
 # square and then sums n terms, so |d - ||c - x||^2| <= g(n + 2, u64)
 # ||c - x||^2. With P = (max ||c|| + ||x||)^2 bounding both right-hand sides,
-#     |2 s + ||x||^2 - d| <= E = (g(n + 2, u32) + g(n + 2, u64)) P.
+#     |2 s + ||x||^2 - d| <= E = (g(n + 2, u) + g(n + 2, u64)) P.
 # Let t be the keep-th smallest score of the row. At least keep codewords
 # score at most t, and each has d <= 2 t + ||x||^2 + E. So every codeword
 # among the keep nearest by d has 2 s + ||x||^2 <= d + E <= 2 t + ||x||^2
 # + 2 E, that is s <= t + E. The search keeps every codeword with
 # s <= t + M, where M uses g(n + 3, .) in place of g(n + 2, .). The extra
-# u32 P covers the rounding of max ||c||, ||x||, P and t + M, and the term
-# (n + 1)(1 + max ||c||) 2^-149 covers float32 underflow. t + M is rounded
-# up to float32 before the compare.
+# (u + u64) P covers the rounding of max ||c||, ||x||, P and t + M. Underflow,
+# at most tau / 2 per rounded product or halving and |c_k| tau / 2 per
+# coefficient of fl(x) (tau the dtype's smallest subnormal), adds at most
+# (2 n + 1 + sqrt(n) max ||c||) tau, within M's 2 (n + 1)(1 + max ||c||) tau.
+# t + M is rounded up to c's dtype before the compare.
 def _shortlist(rows: np.ndarray, stage: _Stage, keep: int,
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every (row, codeword) pair whose codeword can be among the keep
     nearest to its row: row indices, codeword indices (ascending within a
     row) and the exact distance ((c - x)**2).sum(axis=-1) of each pair."""
     count, dim = rows.shape
-    scale = (stage.reach + np.sqrt((rows ** 2).sum(axis=1))) ** 2
+    scale = (stage.reach + np.sqrt(np.einsum("ij,ij->i", rows, rows))) ** 2
     unsafe = ~(scale <= _SAFE_SCALE)
-    scores = np.where(unsafe[:, None], 0.0, rows).astype(np.float32) @ stage.codewords.T
+    fp = np.finfo(stage.codewords.dtype)
+    safe = np.where(unsafe[:, None], 0.0, rows) if unsafe.any() else rows
+    scores = safe.astype(fp.dtype, copy=False) @ stage.codewords.T
     np.subtract(stage.half_norms, scores, out=scores)
     if keep >= scores.shape[1]:
         cut = np.full(count, np.inf)
@@ -296,15 +302,16 @@ def _shortlist(rows: np.ndarray, stage: _Stage, keep: int,
         cut = scores.min(axis=1)
     else:
         cut = np.partition(scores, keep - 1, axis=1)[:, keep - 1]
-    margin = ((_gamma(dim + 3, 2.0 ** -24) + _gamma(dim + 3, 2.0 ** -53)) * scale
-              + (dim + 1) * (1 + stage.reach) * 2.0 ** -149)
-    limit = np.nextafter((cut + margin).astype(np.float32), np.float32(np.inf))
+    margin = ((_gamma(dim + 3, float(fp.eps) / 2) + _gamma(dim + 3, 2.0 ** -53)) * scale
+              + 2 * (dim + 1) * (1 + stage.reach) * float(fp.smallest_subnormal))
+    limit = np.nextafter((cut + margin).astype(fp.dtype), fp.dtype.type(np.inf))
     limit[unsafe] = np.inf
     pair_rows, pair_cols = np.nonzero(scores <= limit[:, None])
     dists = np.empty(len(pair_rows))
     for start in range(0, len(pair_rows), _RERANK_PAIRS):
         at = slice(start, start + _RERANK_PAIRS)
-        dists[at] = ((stage.codewords[pair_cols[at]] - rows[pair_rows[at]]) ** 2).sum(axis=-1)
+        diff = stage.codewords[pair_cols[at]] - rows[pair_rows[at]]
+        dists[at] = np.square(diff, out=diff).sum(axis=-1)
     return pair_rows, pair_cols, dists
 
 
@@ -355,7 +362,7 @@ def _quantize(frames: np.ndarray, codebooks: CodebookSet,
     if not np.all(np.isfinite(frames)):
         raise ValueError("frames must be finite")
     energy = codebooks.stages[0]
-    stages = [_Stage.of(book) for book in codebooks.stages[1:]]
+    stages = [_Stage.of(book.codewords) for book in codebooks.stages[1:]]
     beam = min(beam_width, len(stages[0].codewords)) if len(stages) > 1 else 1
     step = max(1, _BLOCK_ROWS // beam)
     codes = np.empty((len(frames), len(codebooks.stages)), dtype=np.int64)

@@ -143,7 +143,8 @@ def griffin_lim(magnitude: MagnitudeSpectrogram,
     Each iteration synthesizes a signal estimate by WOLA, re-analyzes it, and
     keeps the resulting phase under the target magnitude. Returns the final
     signal and the per-iteration consistency errors
-    ||  |STFT(x_t)| - magnitude ||_F, a non-increasing sequence.
+    ||  |STFT(x_t)| - magnitude ||_F, a non-increasing sequence. A non-finite
+    error on a non-finite estimate raises ValueError: NaN never leaves it.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -172,6 +173,8 @@ def griffin_lim(magnitude: MagnitudeSpectrogram,
         np.abs(consistent, out=consistent_mag)
         np.subtract(consistent_mag, target, out=diff)
         errors.append(float(np.linalg.norm(diff)))
+        if not np.isfinite(errors[-1]) and not np.isfinite(estimate).all():
+            raise ValueError("Griffin-Lim samples must be finite")
         # target * consistent / |consistent|, phase 1 where 1/|consistent| overflows
         np.less_equal(consistent_mag, _TINY, out=silent)
         np.copyto(consistent_mag, 1.0, where=silent)

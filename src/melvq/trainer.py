@@ -7,8 +7,9 @@ each parent codeword and adds a copy scaled by (1 + epsilon), so the codebook
 after a split always contains the previous one and the recorded distortion
 sequence is non-increasing across the whole run, not just within one Lloyd
 pass. Empty cells are reseeded from the farthest member of the most populous
-cell, which also cannot raise the assignment distortion. Reductions are
-accumulated in a fixed chunk order so results do not depend on worker counts.
+cell, which also cannot raise the assignment distortion. Vectors are assigned
+by the encoder's exact search (quantizer._nearest) on the float64 codewords,
+and centroid sums add in input order, so no BLAS setting changes a book.
 """
 
 from __future__ import annotations
@@ -18,13 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientDataError
-from .quantizer import CodebookSet, RateMode, VectorCodebook
+from .quantizer import _BLOCK_SCORES, CodebookSet, RateMode, VectorCodebook, _nearest, _Stage
 
 LLOYD_REL_TOL = 1e-4     # stop when the relative distortion drop falls below this
 LLOYD_MAX_ITERS = 50     # per Lloyd pass
 SPLIT_EPSILON = 0.01     # scale factor for the split copy of each codeword
-
-_CHUNK_ELEMS = 1 << 22   # bound on rows*codewords handled per distance block
 
 # Report names printed by `melvq train`, by number of VQ stages.
 _VQ_REPORT_NAMES = {1: "vector", 2: "msvq"}
@@ -69,21 +68,13 @@ class TrainReport:
 
 
 def _assign(vectors: np.ndarray, codewords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-codeword assignment (ties toward the lower index) plus the
-    squared distance to that codeword, computed in row blocks."""
-    count = vectors.shape[0]
-    k = codewords.shape[0]
-    assign = np.empty(count, dtype=np.int64)
-    dists = np.empty(count)
-    block = max(1, _CHUNK_ELEMS // max(k, 1))
-    sq_norms = (codewords ** 2).sum(axis=1)
-    for start in range(0, count, block):
-        chunk = vectors[start:start + block]
-        d = sq_norms[None, :] - 2.0 * (chunk @ codewords.T) + (chunk ** 2).sum(axis=1)[:, None]
-        idx = np.argmin(d, axis=1)
-        assign[start:start + block] = idx
-        dists[start:start + block] = np.maximum(d[np.arange(len(chunk)), idx], 0.0)
-    return assign, dists
+    """Nearest codeword of each vector by the exact distance, ties toward the
+    lower index, and that distance: the encoder's search, in row blocks."""
+    stage = _Stage.of(codewords)
+    step = max(1, _BLOCK_SCORES // len(codewords))
+    blocks = [_nearest(vectors[i:i + step], stage, 1) for i in range(0, len(vectors), step)]
+    return (np.concatenate([index for index, _ in blocks])[:, 0],
+            np.concatenate([dist for _, dist in blocks])[:, 0])
 
 
 def _lloyd(vectors: np.ndarray, codewords: np.ndarray) -> tuple[np.ndarray, list[float]]:
@@ -91,6 +82,7 @@ def _lloyd(vectors: np.ndarray, codewords: np.ndarray) -> tuple[np.ndarray, list
     or the iteration cap is hit. Returns the refined codewords and the
     distortion recorded at each iteration."""
     codewords = codewords.astype(np.float64, copy=True)
+    columns = np.ascontiguousarray(vectors.T)  # centroid sums: one bincount each
     trace: list[float] = []
     prev = None
     for _ in range(LLOYD_MAX_ITERS):
@@ -101,8 +93,7 @@ def _lloyd(vectors: np.ndarray, codewords: np.ndarray) -> tuple[np.ndarray, list
             break
         prev = distortion
         counts = np.bincount(assign, minlength=codewords.shape[0])
-        sums = np.zeros_like(codewords)
-        np.add.at(sums, assign, vectors)
+        sums = np.column_stack([np.bincount(assign, x, len(codewords)) for x in columns])
         occupied = counts > 0
         codewords[occupied] = sums[occupied] / counts[occupied, None]
         if not occupied.all():
@@ -119,8 +110,6 @@ def _reseed(vectors: np.ndarray, codewords: np.ndarray, occupied: np.ndarray) ->
     for cell in np.flatnonzero(~occupied):
         donor = int(np.argmax(counts))
         members = np.flatnonzero(assign == donor)
-        if members.size == 0:
-            continue
         farthest = int(members[int(np.argmax(dists[members]))])
         codewords[cell] = vectors[farthest]
         counts[donor] -= 1

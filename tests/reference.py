@@ -17,6 +17,14 @@ require the replacement to give the same results bit for bit.
   the index-gather re-analysis and the Griffin-Lim loop of
   `melvq.synthesis` before the fixed-working-set kernel. `overlap_add` and
   `griffin_lim` must return the same float bytes and the same error list.
+- `_assign`, `_lloyd` and `_reseed`: the trainer's nearest-codeword
+  assignment by an argmin over the expanded formula
+  ||c||^2 - 2 x.c + ||x||^2 (a GEMM, so BLAS decides its near-ties) and the
+  Lloyd loop with `np.add.at` centroid sums that called it, before training
+  assigned through the encoder's exact search. `_reseed` is copied too, so
+  that this Lloyd loop runs on this `_assign` throughout. With `_assign`
+  patched to the trainer's, `_lloyd` must return the same codewords and
+  trace bit for bit.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from melvq.quantizer import (
 from melvq.analysis import hamming_window
 from melvq.signal_io import PCM16_FULL_SCALE, PCM16_MAX_SAMPLE, AudioBuffer
 from melvq.synthesis import DEFAULT_GL_ITERATIONS, WOLA_FLOOR, MagnitudeSpectrogram
+from melvq.trainer import LLOYD_MAX_ITERS, LLOYD_REL_TOL
 
 
 def fnv1a64(data: bytes) -> int:
@@ -186,3 +195,68 @@ def griffin_lim(magnitude: MagnitudeSpectrogram,
     estimate = _wola(np.fft.irfft(spectrum, n=cfg.frame_len, axis=1),
                      window, cfg.frame_shift)
     return AudioBuffer(estimate, cfg.sample_rate_hz), errors
+
+
+_CHUNK_ELEMS = 1 << 22   # bound on rows*codewords handled per distance block
+
+
+def _assign(vectors: np.ndarray, codewords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-codeword assignment (ties toward the lower index) plus the
+    squared distance to that codeword, computed in row blocks."""
+    count = vectors.shape[0]
+    k = codewords.shape[0]
+    assign = np.empty(count, dtype=np.int64)
+    dists = np.empty(count)
+    block = max(1, _CHUNK_ELEMS // max(k, 1))
+    sq_norms = (codewords ** 2).sum(axis=1)
+    for start in range(0, count, block):
+        chunk = vectors[start:start + block]
+        d = sq_norms[None, :] - 2.0 * (chunk @ codewords.T) + (chunk ** 2).sum(axis=1)[:, None]
+        idx = np.argmin(d, axis=1)
+        assign[start:start + block] = idx
+        dists[start:start + block] = np.maximum(d[np.arange(len(chunk)), idx], 0.0)
+    return assign, dists
+
+
+def _lloyd(vectors: np.ndarray, codewords: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """Lloyd iterations until the relative distortion drop is below tolerance
+    or the iteration cap is hit. Returns the refined codewords and the
+    distortion recorded at each iteration."""
+    codewords = codewords.astype(np.float64, copy=True)
+    trace: list[float] = []
+    prev = None
+    for _ in range(LLOYD_MAX_ITERS):
+        assign, dists = _assign(vectors, codewords)
+        distortion = float(dists.mean())
+        trace.append(distortion)
+        if prev is not None and prev - distortion <= LLOYD_REL_TOL * prev:
+            break
+        prev = distortion
+        counts = np.bincount(assign, minlength=codewords.shape[0])
+        sums = np.zeros_like(codewords)
+        np.add.at(sums, assign, vectors)
+        occupied = counts > 0
+        codewords[occupied] = sums[occupied] / counts[occupied, None]
+        if not occupied.all():
+            codewords = _reseed(vectors, codewords, occupied)
+    return codewords, trace
+
+
+def _reseed(vectors: np.ndarray, codewords: np.ndarray, occupied: np.ndarray) -> np.ndarray:
+    """Reseed empty cells from the farthest member of the most populous cell,
+    one empty cell at a time so two cells never claim the same vector."""
+    assign, dists = _assign(vectors, codewords)
+    counts = np.bincount(assign, minlength=codewords.shape[0])
+    codewords = codewords.copy()
+    for cell in np.flatnonzero(~occupied):
+        donor = int(np.argmax(counts))
+        members = np.flatnonzero(assign == donor)
+        if members.size == 0:
+            continue
+        farthest = int(members[int(np.argmax(dists[members]))])
+        codewords[cell] = vectors[farthest]
+        counts[donor] -= 1
+        counts[cell] = 1
+        assign[farthest] = cell
+        dists[farthest] = 0.0
+    return codewords

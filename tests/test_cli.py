@@ -265,6 +265,25 @@ def test_exit_codes(corpus_dir, capsys):
         assert exc.value.code == 2
 
 
+def test_overflowing_decode_stops_early(tmp_path, capsys, monkeypatch):
+    """A long stream whose energy level overflows Griffin-Lim exits 5 after
+    one re-analysis, not after all 60 iterations."""
+    huge, loud = tmp_path / "huge.mvqb", tmp_path / "loud.mvqc"
+    huge.write_bytes(_codebook_bytes(np.array([0, 1, 2, 6330.0]), 2, np.zeros((4, 79))))
+    loud.write_bytes(pack([[3, 0]] * 1000, RateMode.R1000,
+                          load_codebooks(huge).content_hash).to_bytes())
+    analyses, frame_view = [], melvq.synthesis._frame_view
+
+    def counting(*args):
+        analyses.append(1)
+        return frame_view(*args)
+
+    monkeypatch.setattr(melvq.synthesis, "_frame_view", counting)
+    assert main(["decode", str(loud), str(tmp_path / "x.wav"), "--codebook", str(huge)]) == 5
+    assert capsys.readouterr().err.startswith("error: codebook content overflows")
+    assert 1 <= len(analyses) <= 2
+
+
 def _codebook_bytes(levels, vq_bits: int, table) -> bytes:
     """A correctly hashed R1000 codebook file with arbitrary contents."""
     energy_bits = int(np.log2(len(levels)))

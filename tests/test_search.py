@@ -139,17 +139,25 @@ _CHILD = """
 import hashlib
 import numpy as np
 from melvq import CodebookSet, RateMode, VectorCodebook, encode_audio
+from melvq.quantizer import codebook_payload
 from melvq.signals import speech_like
+from melvq.trainer import TrainingCorpus, train_codebook_set
 rng = np.random.default_rng(8)
 levels = VectorCodebook(np.linspace(-40.0, 10.0, 64)[:, None], 6)
 stages = [VectorCodebook(rng.standard_normal((8192, 79)) * s, 13) for s in (4.0, 1.0)]
 books = CodebookSet(RateMode.R2000, (levels, *stages), content_hash=0)
 stream = encode_audio(speech_like(2.0, seed=4), books)
 print(hashlib.sha256(stream.to_bytes()).hexdigest())
+features = np.random.default_rng(9).standard_normal((2000, 80)) * np.geomspace(8.0, 0.2, 80)
+trained, _ = train_codebook_set(TrainingCorpus(features), RateMode.R2000,
+                                sq_bits=4, stage_bits=(7, 7))
+print(hashlib.sha256(codebook_payload(trained)).hexdigest())
 """
 
 
 def test_stream_bytes_do_not_depend_on_blas_threads():
+    """Encoding, and training from fixed features (a .mvqb is its payload
+    plus the payload's digest), give the same bytes at 1 and 2 threads."""
     children = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
@@ -161,6 +169,6 @@ def test_stream_bytes_do_not_depend_on_blas_threads():
     for child in children:
         out, err = child.communicate(timeout=120)
         assert child.returncode == 0, err
-        digests.append(out.strip())
+        digests.append(out.split())
     assert digests[0] == digests[1]
-    assert len(digests[0]) == len(hashlib.sha256().hexdigest())
+    assert [len(d) for d in digests[0]] == [len(hashlib.sha256().hexdigest())] * 2

@@ -236,6 +236,18 @@ def test_griffin_lim_survives_subnormal_magnitudes(frame_len, frame_shift):
     audio, errors = griffin_lim(MagnitudeSpectrogram(values, cfg), 8)
     assert np.all(np.isfinite(audio.samples)) and np.all(np.isfinite(errors))
 
+
+def test_griffin_lim_stops_only_on_a_non_finite_estimate(frame_config):
+    """An error norm that overflows on finite samples runs every iteration;
+    magnitudes that overflow the estimate itself raise."""
+    values = np.random.default_rng(0).random((10, frame_config.num_bins)) * 1e300
+    with np.errstate(over="ignore", invalid="ignore"):
+        audio, errors = griffin_lim(MagnitudeSpectrogram(values, frame_config), 3)
+        assert errors == [np.inf] * 3 and np.all(np.isfinite(audio.samples))
+        with pytest.raises(ValueError, match="must be finite"):
+            griffin_lim(MagnitudeSpectrogram(values * 1e8, frame_config), 60)
+
+
 def test_frame_signal_matches_the_index_gather(frame_config):
     """The strided frames give the same spectrum bits as the index gather."""
     audio = speech_like(0.7, seed=8)

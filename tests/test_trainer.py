@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,8 @@ from melvq.trainer import (
     LLOYD_REL_TOL,
     SPLIT_EPSILON,
     TrainingCorpus,
+    _assign,
+    _lloyd,
     train_codebook_set,
     train_lbg,
     train_msvq,
@@ -94,17 +97,21 @@ def test_lbg_four_corner_toy_exact():
     assert all(b <= a for a, b in zip(report.distortions, report.distortions[1:]))
 
 
-def test_lbg_matches_oracle_lloyd_at_fixed_size():
+@pytest.mark.parametrize("shape", [(64, 2), (300, 5), (200, 79)], ids=["64x2", "300x5", "200x79"])
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_lbg_matches_oracle_lloyd_at_fixed_size(shape, seed):
     """With the split bypassed (start from the 1-codeword stage and follow
-    the same split rule by hand), the trainer's trace equals the oracle's."""
-    rng = np.random.default_rng(7)
-    vectors = rng.standard_normal((64, 2))
+    the same split rule by hand), the trainer's trace equals the oracle's
+    bit for bit: both assign by the exact distance and average in input
+    order."""
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal(shape)
     book, report = train_lbg(vectors, 1)
     # replicate: global centroid, keep-parent split, Lloyd to convergence
     c0 = vectors.mean(axis=0, keepdims=True)
     seeds = np.vstack([c0, c0 * (1.0 + SPLIT_EPSILON)])
     _, oracle_trace = oracle_lloyd(vectors, seeds)
-    assert report.distortions == pytest.approx(tuple(oracle_trace), rel=1e-12)
+    assert report.distortions == tuple(oracle_trace)
 
 
 def test_lbg_beats_or_ties_oracle_restart():
@@ -130,6 +137,67 @@ def test_lbg_monotone_on_random_data():
 def test_lbg_insufficient_data_names_minimum():
     with pytest.raises(InsufficientDataError, match="at least 8"):
         train_lbg(np.zeros((5, 2)), 3)
+
+
+# ------------------------------------------------- assignment and sums
+
+
+def _tied_data(dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Codewords with exact duplicates and copies moved by one ulp in some
+    coefficients, and vectors on, near and halfway between them."""
+    rng = np.random.default_rng(seed)
+    codewords = rng.standard_normal((64, dim)) * 2.0
+    codewords[40:44] = codewords[3]
+    near = np.repeat(codewords[5:6], 6, axis=0)
+    moved = rng.random(near.shape) < 0.3
+    near[moved] = np.nextafter(near[moved], np.inf)
+    codewords[50:56] = near
+    pick = rng.integers(64, size=(3, 300))
+    noise = rng.standard_normal((300, dim)) * rng.choice([0.0, 1e-9, 0.3], (300, 1))
+    vectors = np.concatenate([
+        codewords[pick[0]] + noise,
+        (codewords[pick[1]] + codewords[pick[2]]) / 2,
+        codewords[[3, 5, 40, 50, 53]],
+        rng.standard_normal((100, dim)) * 3.0,
+    ])
+    return vectors, codewords
+
+
+@pytest.mark.parametrize("dim, seed", [(1, 0), (2, 1), (5, 2), (79, 3)])
+def test_assign_is_the_exact_nearest_codeword(dim, seed):
+    vectors, codewords = _tied_data(dim, seed)
+    d = ((codewords[None, :, :] - vectors[:, None, :]) ** 2).sum(axis=-1)
+    nearest = np.argmin(d, axis=1)  # the first of equal minima
+    assign, dists = _assign(vectors, codewords)
+    np.testing.assert_array_equal(assign, nearest)
+    np.testing.assert_array_equal(dists, d[np.arange(len(d)), nearest])
+
+
+def test_assign_overrules_the_expanded_formula_on_a_near_tie():
+    """x = 2^30 lies 2 from codeword 0 and 1 from codeword 1. Every product
+    is exact, but ||c||^2 rounds to 2^60 + 2^32 and 2^60 - 2^31, so the
+    expanded formula gives 0 for both, and its argmin takes codeword 0 on
+    any BLAS."""
+    vectors = np.array([[2.0 ** 30]])
+    codewords = np.array([[2.0 ** 30 + 2], [2.0 ** 30 - 1]])
+    assert reference._assign(vectors, codewords)[0].tolist() == [0]
+    assign, dists = _assign(vectors, codewords)
+    assert assign.tolist() == [1] and dists.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("dim, seed", [(1, 4), (5, 5), (79, 6)])
+def test_lloyd_centroid_sums_equal_add_at(dim, seed, monkeypatch):
+    """One bincount per column adds each cell's members in input order, as
+    np.add.at did: on the same assignments the Lloyd loop returns the same
+    codewords and trace bit for bit. A far codeword empties its cell, so
+    the reseed runs too."""
+    vectors, codewords = _tied_data(dim, seed)
+    codewords[60] = 1e3
+    monkeypatch.setattr(reference, "_assign", _assign)
+    mine, trace = _lloyd(vectors, codewords)
+    theirs, oracle_trace = reference._lloyd(vectors, codewords)
+    assert len(trace) > 2 and trace == oracle_trace
+    assert mine.tobytes() == theirs.tobytes()
 
 
 # ------------------------------------------------------------------ MSVQ

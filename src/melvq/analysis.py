@@ -31,18 +31,20 @@ class FrameConfig:
     sample_rate_hz: int = 16000
     frame_len: int = 1024
     frame_shift: int = 256
-    fft_size: int = 1024
     num_bands: int = 80
 
     def __post_init__(self) -> None:
         if min(self.sample_rate_hz, self.frame_len, self.frame_shift, self.num_bands) <= 0:
             raise ValueError("all frame parameters must be positive")
-        if self.fft_size != self.frame_len:
-            raise ValueError("fft_size must equal frame_len")
         if self.frame_len % self.frame_shift != 0:
             raise ValueError("frame_shift must divide frame_len")
         if self.num_bands > self.num_bins:
             raise ValueError("num_bands exceeds the number of FFT bins")
+
+    @property
+    def fft_size(self) -> int:
+        """The FFT length: one frame, unpadded."""
+        return self.frame_len
 
     @property
     def num_bins(self) -> int:

@@ -172,10 +172,9 @@ def stream_codes(stream: EncodedStream) -> tuple[FrameCode, ...]:
 
 
 def encode_audio(audio: AudioBuffer, codebooks: CodebookSet,
-                 beam_width: int = DEFAULT_BEAM_WIDTH,
-                 config: FrameConfig | None = None) -> EncodedStream:
+                 beam_width: int = DEFAULT_BEAM_WIDTH) -> EncodedStream:
     """Analyze and quantize audio into an encoded stream."""
-    cfg = config or FrameConfig()
+    cfg = FrameConfig()
     if 1 + codebooks.vector_dim != cfg.num_bands:
         raise ValueError("codebook dimension does not match the frame config")
     features = compute_mfcc(audio, cfg)
@@ -183,13 +182,13 @@ def encode_audio(audio: AudioBuffer, codebooks: CodebookSet,
     return pack(codes, codebooks.rate_mode, codebooks.content_hash)
 
 
-def stream_bitrate(stream: EncodedStream, config: FrameConfig | None = None) -> float:
+def stream_bitrate(stream: EncodedStream) -> float:
     """Payload bit rate in bit/s: bits per frame times frames per second.
 
     Computed from integers (bits * sample_rate / frame_shift), so the nominal
     operating points come out exactly 1000.0 and 2000.0.
     """
-    cfg = config or FrameConfig()
+    cfg = FrameConfig()
     return stream.rate_mode.bits_per_frame * cfg.sample_rate_hz / cfg.frame_shift
 
 
@@ -265,8 +264,7 @@ def import_mel(path) -> MelSpectrogram:
                            count=num_frames * num_bands)
     try:
         cfg = FrameConfig(sample_rate_hz=rate, frame_len=frame_len,
-                          frame_shift=frame_shift, fft_size=frame_len,
-                          num_bands=num_bands)
+                          frame_shift=frame_shift, num_bands=num_bands)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     return MelSpectrogram(values.reshape(num_frames, num_bands).astype(np.float64), cfg)

@@ -123,7 +123,7 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     codebooks = load_codebooks(args.codebook)
     stream = EncodedStream.from_bytes(Path(args.input).read_bytes())
-    audio, mel = synthesis._decode(stream, codebooks, args.gl_iters, FrameConfig())
+    audio, mel = synthesis._decode(stream, codebooks, args.gl_iters)
     write_wav(args.output, audio)
     if args.emit_mel is not None:
         export_mel(mel, args.emit_mel)
@@ -236,10 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--codebook", required=True, help="output codebook path")
     train.add_argument("--sq-bits", type=int, default=None,
                        help="override scalar bit width (production default 4 or 6)")
-    train.add_argument("--vq-bits", type=_parse_stage_bits, dest="stage_bits",
-                       help="override single-stage VQ bit width (rate 1000)")
-    train.add_argument("--stage-bits", type=_parse_stage_bits, default=None,
-                       help="override per-stage bit widths, e.g. 6,6 (rate 2000)")
+    train.add_argument("--stage-bits", "--vq-bits", type=_parse_stage_bits, default=None,
+                       help="override the VQ stage bit widths: one at rate 1000 "
+                            "(e.g. 8), two at rate 2000 (e.g. 6,6)")
 
     encode = sub.add_parser("encode", help="encode a 16 kHz WAV to a stream")
     encode.add_argument("input", help="input WAV path")

@@ -11,15 +11,16 @@ Euclidean distance throughout, and every tie breaks toward the lowest index
 so encoding is deterministic. Frame codes are one (frames, stages) integer
 array.
 
-The search is batched and exact. Blocks of at most _BLOCK_ROWS rows (frames,
-or (frame, beam entry) residuals) are scored against every codeword by one
-GEMM in the codewords' dtype: float32 for a book, float64 when the trainer
-assigns through this same kernel. Every codeword within a proven rounding
-margin of the cut-off (the beam-th smallest score, or the smallest in the
-last stage) is kept, and that shortlist is re-ranked with the float64
-distance ((c - x)**2).sum(axis=-1). The margin holds for any BLAS summation
-order, FMA use or thread count (derivation above _shortlist), so the chosen
-indices, ties included, equal those of a full per-frame search.
+The search is batched and exact. One kernel, _nearest, serves every stage
+and the trainer. It scores rows against all k codewords of a stage in
+blocks of _BLOCK_SCORES // k rows, by one GEMM in the codewords' dtype:
+float32 for a book, float64 when the trainer assigns through it. Every
+codeword within a proven rounding margin of the cut-off (the beam-th
+smallest score, or the smallest in the last stage) is kept, and that
+shortlist is re-ranked with the float64 distance ((c - x)**2).sum(axis=-1).
+The margin holds for any BLAS summation order, FMA use, thread count or
+block size (derivation above _shortlist), so the chosen indices, ties
+included, equal those of a full per-frame search.
 """
 
 from __future__ import annotations
@@ -139,6 +140,13 @@ class RateMode(IntEnum):
 _FIELD_BITS = {RateMode.R1000: (4, 12), RateMode.R2000: (6, 13, 13)}
 
 
+def _check_field_bits(mode: RateMode, bits: tuple[int, ...]) -> None:
+    """Raise ValueError if a stage width exceeds its wire field in mode."""
+    for b, width in zip(bits, mode.field_bits):
+        if b > width:
+            raise ValueError(f"a {b}-bit codebook is wider than its {width}-bit wire field")
+
+
 @dataclass(frozen=True, eq=False)
 class VectorCodebook:
     """One codebook stage: 2**bits codewords of a fixed dimension."""
@@ -202,10 +210,7 @@ class CodebookSet:
             raise ValueError("energy levels must be strictly increasing")
         if any(stage.dim != self.vector_dim for stage in self.stages[2:]):
             raise ValueError("stage dimensions differ")
-        for stage, width in zip(self.stages, widths):
-            if stage.bits > width:
-                raise ValueError(f"a {stage.bits}-bit codebook is wider than "
-                                 f"its {width}-bit wire field")
+        _check_field_bits(self.rate_mode, tuple(stage.bits for stage in self.stages))
         if self.content_hash is None:
             self.content_hash = fnv1a64(codebook_payload(self))
 
@@ -231,11 +236,12 @@ def codebook_payload(codebooks: CodebookSet) -> bytes:
     return b"".join(parts)
 
 
-# Rows per search block: frames, or (frame, beam entry) residuals. Against
-# an 8192-word stage the block's float32 score matrix is 4 MB. A training
-# block holds _BLOCK_SCORES // k vectors of a k-word book: as many scores.
-_BLOCK_ROWS = 128
-_BLOCK_SCORES = _BLOCK_ROWS * 8192
+# Scores per search block: _nearest scores _BLOCK_SCORES // k rows at a time
+# against a k-word stage, 4 MB of float32 scores (8 MB of float64 ones in
+# training). _quantize builds at most _RESIDUAL_ROWS (frame, beam entry)
+# residual rows at a time, so no beam width makes it allocate without bound.
+_BLOCK_SCORES = 128 * 8192
+_RESIDUAL_ROWS = 1024
 # Candidate pairs per exact re-rank chunk (at most 5 MB of float64 rows).
 _RERANK_PAIRS = 8192
 # Rows whose scale P exceeds this keep every codeword: float32 could overflow.
@@ -245,20 +251,6 @@ _SAFE_SCALE = 2.0 ** 100
 def _gamma(n: int, unit: float) -> float:
     """The rounding-error factor gamma_n = n u / (1 - n u)."""
     return n * unit / (1 - n * unit)
-
-
-class _Stage(NamedTuple):
-    """Codewords as the search reads them: the codewords, their half squared
-    norms summed in the codewords' dtype, and the largest norm."""
-
-    codewords: np.ndarray
-    half_norms: np.ndarray
-    reach: float
-
-    @classmethod
-    def of(cls, codewords: np.ndarray) -> "_Stage":
-        sq_norms = np.einsum("ij,ij->i", codewords, codewords)
-        return cls(codewords, sq_norms / 2, float(np.sqrt(sq_norms.max())))
 
 
 # The shortlist margin. Let x be a float64 row of n coefficients, c a float32
@@ -283,19 +275,22 @@ class _Stage(NamedTuple):
 # at most tau / 2 per rounded product or halving and |c_k| tau / 2 per
 # coefficient of fl(x) (tau the dtype's smallest subnormal), adds at most
 # (2 n + 1 + sqrt(n) max ||c||) tau, within M's 2 (n + 1)(1 + max ||c||) tau.
-# t + M is rounded up to c's dtype before the compare.
-def _shortlist(rows: np.ndarray, stage: _Stage, keep: int,
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+# t + M is rounded up to c's dtype before the compare. Nothing in M depends
+# on the other rows, so neither does the result.
+def _shortlist(rows: np.ndarray, codewords: np.ndarray, half_norms: np.ndarray,
+               reach: float, keep: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every (row, codeword) pair whose codeword can be among the keep
     nearest to its row: row indices, codeword indices (ascending within a
-    row) and the exact distance ((c - x)**2).sum(axis=-1) of each pair."""
+    row) and the exact distance ((c - x)**2).sum(axis=-1) of each pair.
+    half_norms are the codewords' half squared norms summed in their dtype,
+    reach the largest norm."""
     count, dim = rows.shape
-    scale = (stage.reach + np.sqrt(np.einsum("ij,ij->i", rows, rows))) ** 2
+    scale = (reach + np.sqrt(np.einsum("ij,ij->i", rows, rows))) ** 2
     unsafe = ~(scale <= _SAFE_SCALE)
-    fp = np.finfo(stage.codewords.dtype)
+    fp = np.finfo(codewords.dtype)
     safe = np.where(unsafe[:, None], 0.0, rows) if unsafe.any() else rows
-    scores = safe.astype(fp.dtype, copy=False) @ stage.codewords.T
-    np.subtract(stage.half_norms, scores, out=scores)
+    scores = safe.astype(fp.dtype, copy=False) @ codewords.T
+    np.subtract(half_norms, scores, out=scores)
     if keep >= scores.shape[1]:
         cut = np.full(count, np.inf)
     elif keep == 1:
@@ -303,74 +298,75 @@ def _shortlist(rows: np.ndarray, stage: _Stage, keep: int,
     else:
         cut = np.partition(scores, keep - 1, axis=1)[:, keep - 1]
     margin = ((_gamma(dim + 3, float(fp.eps) / 2) + _gamma(dim + 3, 2.0 ** -53)) * scale
-              + 2 * (dim + 1) * (1 + stage.reach) * float(fp.smallest_subnormal))
+              + 2 * (dim + 1) * (1 + reach) * float(fp.smallest_subnormal))
     limit = np.nextafter((cut + margin).astype(fp.dtype), fp.dtype.type(np.inf))
     limit[unsafe] = np.inf
     pair_rows, pair_cols = np.nonzero(scores <= limit[:, None])
     dists = np.empty(len(pair_rows))
     for start in range(0, len(pair_rows), _RERANK_PAIRS):
         at = slice(start, start + _RERANK_PAIRS)
-        diff = stage.codewords[pair_cols[at]] - rows[pair_rows[at]]
+        diff = codewords[pair_cols[at]] - rows[pair_rows[at]]
         dists[at] = np.square(diff, out=diff).sum(axis=-1)
     return pair_rows, pair_cols, dists
 
 
-def _nearest(rows: np.ndarray, stage: _Stage, keep: int,
+def _nearest(rows: np.ndarray, codewords: np.ndarray, keep: int,
              ) -> tuple[np.ndarray, np.ndarray]:
-    """The keep codewords nearest to each row by the exact distance, ties
-    toward the lower index, and their distances, as (rows, keep) arrays;
-    keep is at most the stage size."""
-    pair_rows, pair_cols, dists = _shortlist(rows, stage, keep)
-    order = np.lexsort((pair_cols, dists, pair_rows))
-    ranked_rows = pair_rows[order]
-    rank = np.arange(len(order)) - np.searchsorted(ranked_rows, ranked_rows)
-    chosen = order[rank < keep]
-    return pair_cols[chosen].reshape(-1, keep), dists[chosen].reshape(-1, keep)
+    """The keep codewords nearest to each of any number of float64 rows by
+    the exact distance, ties toward the lower index, and their distances,
+    as (rows, keep) arrays; keep is at most the number of codewords. The
+    rows are scored _BLOCK_SCORES // k at a time against the k codewords."""
+    sq_norms = np.einsum("ij,ij->i", codewords, codewords)
+    half_norms, reach = sq_norms / 2, float(np.sqrt(sq_norms.max()))
+    step = max(1, _BLOCK_SCORES // len(codewords))
+    index = np.empty((len(rows), keep), np.intp)
+    dist = np.empty((len(rows), keep))
+    for start in range(0, len(rows), step):
+        pair_rows, pair_cols, dists = _shortlist(rows[start:start + step], codewords,
+                                                 half_norms, reach, keep)
+        order = np.lexsort((pair_cols, dists, pair_rows))
+        ranked_rows = pair_rows[order]
+        rank = np.arange(len(order)) - np.searchsorted(ranked_rows, ranked_rows)
+        chosen = order[rank < keep]
+        index[start:start + step] = pair_cols[chosen].reshape(-1, keep)
+        dist[start:start + step] = dists[chosen].reshape(-1, keep)
+    return index, dist
 
 
-def _search(vectors: np.ndarray, stages: list[_Stage], beam: int) -> np.ndarray:
-    """VQ indices of one block of rows: the nearest codeword of a single
-    stage, or the M-best pair of two. The beam holds the beam codewords of
-    the first stage nearest to the row; the pair with the smallest exact
-    distance of the final residual wins, ties toward the smaller first
-    index."""
+def _search(vectors: np.ndarray, stages: list[np.ndarray], beam: int) -> np.ndarray:
+    """VQ indices of rows: the nearest codeword of a single stage, or the
+    M-best pair of two. The beam holds the beam codewords of the first stage
+    nearest to the row; the pair with the smallest exact distance of the
+    final residual wins, ties toward the smaller first index. Two stages
+    build beam residual rows per row."""
     if len(stages) == 1:
         return _nearest(vectors, stages[0], 1)[0]
     first, last = stages
     heads = _nearest(vectors, first, beam)[0].ravel()
-    owners = np.repeat(np.arange(len(vectors)), beam)
-    tails = np.empty_like(heads)
-    dists = np.empty(len(heads))
-    for start in range(0, len(heads), _BLOCK_ROWS):
-        at = slice(start, start + _BLOCK_ROWS)
-        residuals = vectors[owners[at]] - first.codewords[heads[at]]
-        index, dist = _nearest(residuals, last, 1)
-        tails[at], dists[at] = index[:, 0], dist[:, 0]
+    tails, dists = _nearest(np.repeat(vectors, beam, axis=0) - first[heads], last, 1)
     pick = np.lexsort((heads.reshape(-1, beam), dists.reshape(-1, beam)))[:, 0]
     pick += beam * np.arange(len(vectors))
-    return np.stack([heads[pick], tails[pick]], axis=1)
+    return np.stack([heads[pick], tails[pick, 0]], axis=1)
 
 
 def _quantize(frames: np.ndarray, codebooks: CodebookSet,
               beam_width: int = DEFAULT_BEAM_WIDTH) -> np.ndarray:
     """Codes of (frames, 1 + dim) MFCC rows as a (frames, stages) array:
     column 0 through the energy stage, the rest through the VQ stages.
-    Frames are searched in blocks of at most _BLOCK_ROWS residual rows."""
+    Frames go to the search in blocks of at most _RESIDUAL_ROWS residual
+    rows (max(1, _RESIDUAL_ROWS // beam) frames)."""
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
     frames = np.asarray(frames, dtype=np.float64)
     if not np.all(np.isfinite(frames)):
         raise ValueError("frames must be finite")
-    energy = codebooks.stages[0]
-    stages = [_Stage.of(book.codewords) for book in codebooks.stages[1:]]
-    beam = min(beam_width, len(stages[0].codewords)) if len(stages) > 1 else 1
-    step = max(1, _BLOCK_ROWS // beam)
+    energy, *stages = (book.codewords for book in codebooks.stages)
+    beam = min(beam_width, len(stages[0])) if len(stages) > 1 else 1
+    step = max(1, _RESIDUAL_ROWS // beam)
     codes = np.empty((len(frames), len(codebooks.stages)), dtype=np.int64)
     for start in range(0, len(frames), step):
         block = frames[start:start + step]
-        # A sum over one element is exact, so this is the exact distance.
-        codes[start:start + step, 0] = np.argmin(
-            (energy.codewords[:, 0] - block[:, :1]) ** 2, axis=1)
+        codes[start:start + step, 0] = _nearest(block[:, :1], energy, 1)[0][:, 0]
         codes[start:start + step, 1:] = _search(block[:, 1:], stages, beam)
     return codes
 

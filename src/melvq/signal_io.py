@@ -99,6 +99,8 @@ def _parse_wav(data: bytes) -> tuple[int, np.ndarray]:
                           "only 16/24/32-bit integer PCM is accepted")
     # A data chunk cut short by the end of the file yields its whole frames.
     frames = min(size, len(data) - body) // block_align
+    if frames == 0:
+        raise FormatError("the data chunk holds no whole sample frame")
     raw = np.frombuffer(data, np.uint8, frames * block_align, body)
     if width == 3:
         widened = np.zeros((raw.size // 3, 4), np.uint8)
@@ -113,7 +115,8 @@ def read_wav(path) -> AudioBuffer:
     """Read an integer PCM WAV file as a mono AudioBuffer.
 
     Accepts 16-, 24- and 32-bit PCM, plain or WAVE_FORMAT_EXTENSIBLE; any
-    other format and any malformed or truncated header raise FormatError.
+    other format, any malformed or truncated header and a file without one
+    whole sample frame raise FormatError.
     16-bit samples are scaled by 1/32768. 24-bit samples are widened into the
     int32 range (shifted left by 8 bits) and, like 32-bit ones, scaled by
     1/2**31. Multichannel content is averaged to mono. The sample rate is

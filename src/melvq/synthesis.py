@@ -185,8 +185,7 @@ def griffin_lim(magnitude: MagnitudeSpectrogram,
 
 
 def decode_stream(stream: EncodedStream, codebooks: CodebookSet,
-                  gl_iterations: int = DEFAULT_GL_ITERATIONS,
-                  config: FrameConfig | None = None) -> AudioBuffer:
+                  gl_iterations: int = DEFAULT_GL_ITERATIONS) -> AudioBuffer:
     """Full receiver: dequantize, invert the DCT and filterbank, Griffin-Lim.
 
     The stream's codebook hash must match the loaded codebooks. The decoded
@@ -194,13 +193,14 @@ def decode_stream(stream: EncodedStream, codebooks: CodebookSet,
     and is clamped to [-1, 1]. Codebook content that overflows decoding
     raises FormatError.
     """
-    return _decode(stream, codebooks, gl_iterations, config or FrameConfig())[0]
+    return _decode(stream, codebooks, gl_iterations)[0]
 
 
-def _decode(stream: EncodedStream, codebooks: CodebookSet, gl_iterations: int,
-            cfg: FrameConfig) -> tuple[AudioBuffer, MelSpectrogram]:
+def _decode(stream: EncodedStream, codebooks: CodebookSet,
+            gl_iterations: int) -> tuple[AudioBuffer, MelSpectrogram]:
     """decode_stream's audio plus the dequantized mel-spectrogram it was
     synthesized from."""
+    cfg = FrameConfig()
     if stream.frame_count == 0:
         raise FormatError("empty stream: no frames to decode")
     if stream.codebook_hash != codebooks.content_hash:

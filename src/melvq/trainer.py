@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientDataError
-from .quantizer import _BLOCK_SCORES, CodebookSet, RateMode, VectorCodebook, _nearest, _Stage
+from .quantizer import CodebookSet, RateMode, VectorCodebook, _check_field_bits, _nearest
 
 LLOYD_REL_TOL = 1e-4     # stop when the relative distortion drop falls below this
 LLOYD_MAX_ITERS = 50     # per Lloyd pass
@@ -69,12 +69,9 @@ class TrainReport:
 
 def _assign(vectors: np.ndarray, codewords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest codeword of each vector by the exact distance, ties toward the
-    lower index, and that distance: the encoder's search, in row blocks."""
-    stage = _Stage.of(codewords)
-    step = max(1, _BLOCK_SCORES // len(codewords))
-    blocks = [_nearest(vectors[i:i + step], stage, 1) for i in range(0, len(vectors), step)]
-    return (np.concatenate([index for index, _ in blocks])[:, 0],
-            np.concatenate([dist for _, dist in blocks])[:, 0])
+    lower index, and that distance: the encoder's search."""
+    index, dist = _nearest(vectors, codewords, 1)
+    return index[:, 0], dist[:, 0]
 
 
 def _lloyd(vectors: np.ndarray, codewords: np.ndarray) -> tuple[np.ndarray, list[float]]:
@@ -205,6 +202,7 @@ def train_codebook_set(corpus: TrainingCorpus, mode: RateMode,
         raise ValueError(
             f"{mode.name} takes {len(widths) - 1} stage bit width(s), got {stage_bits}"
         )
+    _check_field_bits(mode, (sq_bits, *stage_bits))
     vectors = corpus.vectors
     if vectors.shape[1] < 2:
         raise ValueError("corpus vectors must have at least 2 coefficients")

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from melvq.analysis import FrameConfig
 from melvq.bitstream import (
     HEADER_LEN,
     STREAM_MAGIC,
@@ -113,11 +112,10 @@ def test_unpack_returns_mode_hash_codes():
 
 
 def test_bitrate_is_exact():
-    cfg = FrameConfig()
     s1 = pack(np.zeros((10, 2), dtype=np.int64), RateMode.R1000, 0)
     s2 = pack(np.zeros((10, 3), dtype=np.int64), RateMode.R2000, 0)
-    assert stream_bitrate(s1, cfg) == 1000.0
-    assert stream_bitrate(s2, cfg) == 2000.0
+    assert stream_bitrate(s1) == 1000.0
+    assert stream_bitrate(s2) == 2000.0
 
 
 @settings(max_examples=200, deadline=None)

@@ -255,6 +255,13 @@ def test_exit_codes(corpus_dir, capsys):
                  "--codebook", str(corpus_dir / "big.mvqb")]) == 7
     err = capsys.readouterr().err
     assert "at least 4096" in err
+    # 2: a width wider than its wire field, before any training, though the
+    # corpus is also too small for a 13-bit book
+    for widths in (("--sq-bits", "5", "--vq-bits", "8"), ("--vq-bits", "13")):
+        assert main(["train", "--manifest", str(corpus_dir / "train.txt"), "--rate", "1000",
+                     "--codebook", str(corpus_dir / "wide.mvqb"), *widths]) == 2
+        assert "wider than its" in capsys.readouterr().err
+    assert not (corpus_dir / "wide.mvqb").exists()
     # 2: a beam or Griffin-Lim iteration count below 1, before any file is read
     for argv in (["encode", str(corpus_dir / "missing.wav"), str(corpus_dir / "x.mvqc"),
                   "--codebook", book, "--beam", "0"],

@@ -8,7 +8,7 @@ import contextlib
 import io
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from melvq import save_codebooks
@@ -87,6 +87,7 @@ def test_damaged_mel_file(seeds, damage):
 
 @settings(max_examples=100, deadline=None)
 @given(_damage)
+@example(("cut", 44))  # a header whose data chunk holds no sample
 def test_damaged_wav_header(seeds, damage):
     work, files = seeds
     path = work / "x.wav"

@@ -185,8 +185,7 @@ def test_lsd_zero_on_identical():
 
 
 def _tiny_cfg() -> FrameConfig:
-    return FrameConfig(sample_rate_hz=16000, frame_len=4, frame_shift=2,
-                       fft_size=4, num_bands=2)
+    return FrameConfig(sample_rate_hz=16000, frame_len=4, frame_shift=2, num_bands=2)
 
 
 # ---------------------------------------------------------------- seg SNR

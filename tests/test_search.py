@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from reference import _quantize as reference_quantize
 
+from melvq import quantizer, trainer
 from melvq.quantizer import CodebookSet, RateMode, VectorCodebook, _quantize
 
 DIM = 79
@@ -89,6 +90,36 @@ def test_matches_reference_for_any_beam_and_frame_count(mode, bits):
             got = _quantize(frames[:count], books, beam)
             assert got.shape == (count, len(bits))
             np.testing.assert_array_equal(got, reference_quantize(frames[:count], books, beam))
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 7])
+def test_results_do_not_depend_on_the_score_block(monkeypatch, block_rows):
+    """With score blocks of 1, 3 or 7 rows of a 64-word stage, the codes
+    equal the per-frame reference's and the trainer's assignment is bit-equal
+    to its unpatched one; no search gets more than max(1024, beam) residual
+    rows."""
+    r1000 = _books(RateMode.R1000, (3, 6), seed=11)
+    vectors = _frames(r1000, 40, seed=12)[:, 1:]
+    codewords = r1000.stages[1].codewords.astype(np.float64)
+    expected = trainer._assign(vectors, codewords)
+    residual_rows, search = [], quantizer._search
+
+    def counting(block, stages, beam):
+        residual_rows.append((len(block) * beam if len(stages) > 1 else len(block), beam))
+        return search(block, stages, beam)
+
+    monkeypatch.setattr(quantizer, "_BLOCK_SCORES", 64 * block_rows)
+    monkeypatch.setattr(quantizer, "_search", counting)
+    for books in (r1000, _books(RateMode.R2000, (4, 6, 6), seed=11)):
+        frames = _frames(books, 40, seed=12)
+        for beam in (1, 8, 64):
+            for count in (0, 1, 40):
+                np.testing.assert_array_equal(_quantize(frames[:count], books, beam),
+                                              reference_quantize(frames[:count], books, beam))
+    assert all(rows <= max(1024, beam) for rows, beam in residual_rows)
+    assert max(rows for rows, _ in residual_rows) == 1024  # beam 64 over 40 frames
+    for got, want in zip(trainer._assign(vectors, codewords), expected):
+        np.testing.assert_array_equal(got, want)
 
 
 def _near_tie_stage(rng) -> np.ndarray:

@@ -197,6 +197,17 @@ def test_unsupported_formats_rejected(tmp_path):
                 reader(path)
 
 
+def test_wav_without_a_whole_sample_rejected(tmp_path):
+    """An empty data chunk, or one cut inside its first frame, has nothing to
+    code: FormatError (exit 5 in the CLI), not an error from framing."""
+    path = tmp_path / "empty.wav"
+    for data in (_riff((b"fmt ", _fmt(1, 2)), (b"data", b"")),
+                 _riff((b"fmt ", _fmt(2, 2)), (b"data", bytes(3)))):
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match="no whole sample"):
+            read_wav(path)
+
+
 def test_big_endian_rifx_rejected(tmp_path):
     """Only little-endian RIFF is read, though scipy's reader also read
     big-endian RIFX."""

@@ -213,8 +213,7 @@ def test_griffin_lim_matches_reference_on_zero_bins_and_silent_frames(
         frame_len, frame_shift, num_frames, iterations):
     """Random magnitudes with exact-zero bins, isolated silent frames and a
     silent run long enough that whole re-analysis frames come out zero."""
-    cfg = FrameConfig(frame_len=frame_len, frame_shift=frame_shift,
-                      fft_size=frame_len, num_bands=40)
+    cfg = FrameConfig(frame_len=frame_len, frame_shift=frame_shift, num_bands=40)
     rng = np.random.default_rng(frame_len + frame_shift + num_frames)
     values = rng.random((num_frames, cfg.num_bins)) * rng.choice(
         [0.0, 1.0, 30.0], size=(num_frames, cfg.num_bins), p=[0.2, 0.4, 0.4])
@@ -228,8 +227,7 @@ def test_griffin_lim_matches_reference_on_zero_bins_and_silent_frames(
 def test_griffin_lim_survives_subnormal_magnitudes(frame_len, frame_shift):
     """Where 1/|c| would overflow the phase is 1, as where |c| = 0, so tiny
     frames give finite samples; unscaled, the output equals the oracle's."""
-    cfg = FrameConfig(frame_len=frame_len, frame_shift=frame_shift,
-                      fft_size=frame_len, num_bands=40)
+    cfg = FrameConfig(frame_len=frame_len, frame_shift=frame_shift, num_bands=40)
     values = np.random.default_rng(frame_shift).random((20, cfg.num_bins))
     _assert_griffin_lim_matches_reference(MagnitudeSpectrogram(values, cfg), 8)
     values[5:16] *= np.logspace(-305, -321, 11)[:, None]

@@ -243,6 +243,18 @@ def test_train_codebook_set_both_modes(train_corpus):
     assert len(books2.stages) == 3
 
 
+@pytest.mark.parametrize("mode, sq_bits, stage_bits", [
+    (RateMode.R1000, 5, (8,)), (RateMode.R1000, 4, (13,)), (RateMode.R2000, 6, (13, 14))])
+def test_over_wide_widths_fail_before_training(monkeypatch, mode, sq_bits, stage_bits):
+    def untrained(*args):
+        raise AssertionError("training ran")
+
+    monkeypatch.setattr("melvq.trainer.train_scalar", untrained)
+    monkeypatch.setattr("melvq.trainer.train_lbg", untrained)
+    with pytest.raises(ValueError, match="wider than its"):
+        train_codebook_set(TrainingCorpus(np.zeros((4, 80))), mode, sq_bits, stage_bits)
+
+
 def test_training_is_deterministic(train_corpus):
     a, _ = train_codebook_set(train_corpus, RateMode.R1000, sq_bits=3,
                               stage_bits=(4,))

@@ -45,7 +45,7 @@ def main() -> int:
     pooled = np.concatenate(
         [compute_mfcc(a, cfg, filterbank).values for a in train], axis=0
     )
-    corpus = TrainingCorpus(pooled, ("synthetic demo corpus",))
+    corpus = TrainingCorpus(pooled)
     print(f"pooled {pooled.shape[0]} training frames  [{time.time() - t0:.1f}s]")
 
     if args.full_bits:

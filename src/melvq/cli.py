@@ -89,9 +89,8 @@ def cmd_train(args) -> int:
         return compute_mfcc(read_wav(path), cfg, filterbank).values
 
     pooled = np.concatenate(ordered_map(extract, paths), axis=0)
-    corpus = TrainingCorpus(pooled, tuple(paths))
     codebooks, reports = train_codebook_set(
-        corpus, args.rate, sq_bits=args.sq_bits, stage_bits=args.stage_bits
+        TrainingCorpus(pooled), args.rate, sq_bits=args.sq_bits, stage_bits=args.stage_bits
     )
     save_codebooks(codebooks, args.codebook)
     print(f"trained on {pooled.shape[0]} frames from {len(paths)} file(s)")
@@ -145,23 +144,25 @@ def _evaluate_pair(ref_path: str, deg_path: str, cfg: FrameConfig) -> QualityRep
     n = min(len(reference), len(degraded))
     reference = AudioBuffer(reference.samples[:n], reference.sample_rate_hz)
     degraded = AudioBuffer(degraded.samples[:n], degraded.sample_rate_hz)
-    try:
-        stoi_value = stoi(reference, degraded)
-    except ValueError:
-        stoi_value = None
+
+    def computable(metric):  # None, printed NA, where the input does not allow it
+        try:
+            return metric(reference, degraded)
+        except ValueError:
+            return None
+
     filterbank = build_mel_filterbank(cfg)
     ref_mag = magnitude_spectrogram(frame_signal(reference, cfg))
     deg_mag = magnitude_spectrogram(frame_signal(degraded, cfg))
     ref_mel = _log_mel(ref_mag.values, filterbank, cfg)
     deg_mel = _log_mel(deg_mag.values, filterbank, cfg)
-    report = QualityReport(
+    return QualityReport(
         Path(ref_path).stem,
-        stoi_value,
+        computable(stoi),
         mcd(mfcc(ref_mel), mfcc(deg_mel)),
         lsd(ref_mag, deg_mag),
-        seg_snr(reference, degraded),
+        computable(seg_snr),
     )
-    return report
 
 
 def cmd_eval(args) -> int:
@@ -234,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--rate", type=_parse_rate, default=RateMode.R1000,
                        help="target rate: 1000 or 2000 (default 1000)")
     train.add_argument("--codebook", required=True, help="output codebook path")
-    train.add_argument("--sq-bits", type=int, default=None,
+    train.add_argument("--sq-bits", type=_positive_int, default=None,
                        help="override scalar bit width (production default 4 or 6)")
     train.add_argument("--stage-bits", "--vq-bits", type=_parse_stage_bits, default=None,
                        help="override the VQ stage bit widths: one at rate 1000 "

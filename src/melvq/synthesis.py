@@ -8,13 +8,15 @@ Griffin-Lim loop (zero-phase start, fixed iteration count) recovers a phase,
 and weighted overlap-add with the analysis Hamming window reconstructs the
 waveform. Decoded audio always has length (frame_count - 1) * shift + length.
 
-Griffin-Lim reuses buffers allocated once per call and writes the float bits
-of the plain loop kept as the tests' oracle: overlap-add adds one frame phase
-at a time, last phase first, so each sample sums its frames in ascending
-order from +0; and c * (1/|c|) equals numpy's complex-by-real divide
-(a + b*0) * (1/s) + (b - a*0) * (1/s) j up to zero signs, which that +0 drops.
-Bins with |c| <= 2**-1024, where 1/|c| would overflow, take phase 1 like
-|c| = 0; the oracle's divide gives inf or NaN there.
+Griffin-Lim reads the magnitudes in place and keeps six frame-sized buffers
+allocated once per call: the WOLA denominator, the overlap rows (which hold
+the estimate), the frames, the spectrum, its modulus and the silent-bin mask.
+Its in-place phase step applies the oracle loop's ufuncs to the same operands,
+and overlap-add adds one frame phase at a time, last phase first, so each
+sample sums its frames in ascending order from +0, as the oracle does; and
+c * (1/|c|) equals numpy's complex-by-real divide (a + b*0) * (1/s) +
+(b - a*0) * (1/s) j up to zero signs, which that +0 drops. Bins with
+|c| <= 2**-1024, where 1/|c| would overflow, take phase 1 like |c| = 0.
 """
 
 from __future__ import annotations
@@ -152,34 +154,32 @@ def griffin_lim(magnitude: MagnitudeSpectrogram,
     length, shift = cfg.frame_len, cfg.frame_shift
     window = hamming_window(length)
     num_frames = magnitude.num_frames
-    target = magnitude.values.astype(np.float64)
+    target = np.asarray(magnitude.values, dtype=np.float64)
     denominator = _wola_denominator(window, shift, num_frames)
     rows = np.empty((num_frames + length // shift - 1, shift))
-    estimate = np.empty(denominator.shape)
     frames = np.empty((num_frames, length))
     spectrum = target.astype(complex)
-    consistent = np.empty_like(spectrum)
-    consistent_mag, diff, scale = (np.empty_like(target) for _ in range(3))
+    modulus = np.empty(target.shape)
     silent = np.empty(target.shape, bool)
     errors: list[float] = []
     while True:
         np.fft.irfft(spectrum, n=length, axis=1, out=frames)
-        np.multiply(frames, window, out=frames)
-        np.divide(_overlap(frames, shift, rows), denominator, out=estimate)
+        frames *= window
+        estimate = _overlap(frames, shift, rows)
+        estimate /= denominator
         if len(errors) == iterations:
             return AudioBuffer(estimate, cfg.sample_rate_hz), errors
         np.multiply(_frame_view(estimate, length, shift), window, out=frames)
-        np.fft.rfft(frames, n=cfg.fft_size, axis=1, out=consistent)
-        np.abs(consistent, out=consistent_mag)
-        np.subtract(consistent_mag, target, out=diff)
-        errors.append(float(np.linalg.norm(diff)))
+        np.fft.rfft(frames, n=cfg.fft_size, axis=1, out=spectrum)
+        np.abs(spectrum, out=modulus)
+        errors.append(float(np.linalg.norm(modulus - target)))
         if not np.isfinite(errors[-1]) and not np.isfinite(estimate).all():
             raise ValueError("Griffin-Lim samples must be finite")
-        # target * consistent / |consistent|, phase 1 where 1/|consistent| overflows
-        np.less_equal(consistent_mag, _TINY, out=silent)
-        np.copyto(consistent_mag, 1.0, where=silent)
-        np.divide(1.0, consistent_mag, out=scale)
-        np.multiply(consistent, scale, out=spectrum)
+        # target * spectrum / |spectrum|, phase 1 where 1/|spectrum| overflows
+        np.less_equal(modulus, _TINY, out=silent)
+        np.copyto(modulus, 1.0, where=silent)
+        np.divide(1.0, modulus, out=modulus)
+        spectrum *= modulus
         np.copyto(spectrum, 1.0, where=silent)
         spectrum *= target
 

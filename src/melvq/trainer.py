@@ -34,7 +34,6 @@ class TrainingCorpus:
     """Pooled MFCC vectors from a list of source files."""
 
     vectors: np.ndarray
-    source_manifest: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         vectors = np.asarray(self.vectors, dtype=np.float64)
@@ -56,15 +55,19 @@ class TrainReport:
     """
 
     distortions: tuple[float, ...]
-    iterations: int
-    final_distortion: float
     stage_reports: tuple["TrainReport", ...] = field(default=())
 
     def __post_init__(self) -> None:
         if any(d < 0 for d in self.distortions):
             raise ValueError("distortions must be non-negative")
-        if self.iterations != len(self.distortions):
-            raise ValueError("iterations must match the trace length")
+
+    @property
+    def iterations(self) -> int:
+        return len(self.distortions)
+
+    @property
+    def final_distortion(self) -> float:
+        return self.distortions[-1]
 
 
 def _assign(vectors: np.ndarray, codewords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -132,9 +135,7 @@ def train_scalar(samples: np.ndarray, bits: int) -> tuple[VectorCodebook, TrainR
     levels = np.quantile(samples, quantiles)
     refined, trace = _lloyd(samples[:, None], levels[:, None])
     levels = np.sort(refined[:, 0])
-    codebook = VectorCodebook(levels.astype(np.float32)[:, None], bits)
-    report = TrainReport(tuple(trace), len(trace), trace[-1])
-    return codebook, report
+    return VectorCodebook(levels.astype(np.float32)[:, None], bits), TrainReport(tuple(trace))
 
 
 def train_lbg(vectors: np.ndarray, bits: int) -> tuple[VectorCodebook, TrainReport]:
@@ -160,9 +161,7 @@ def train_lbg(vectors: np.ndarray, bits: int) -> tuple[VectorCodebook, TrainRepo
         codewords = np.vstack([codewords, codewords * (1.0 + SPLIT_EPSILON)])
         codewords, stage_trace = _lloyd(vectors, codewords)
         trace.extend(stage_trace)
-    codebook = VectorCodebook(codewords.astype(np.float32), bits)
-    report = TrainReport(tuple(trace), len(trace), trace[-1])
-    return codebook, report
+    return VectorCodebook(codewords.astype(np.float32), bits), TrainReport(tuple(trace))
 
 
 def train_msvq(vectors: np.ndarray, bits_per_stage: tuple[int, ...] = (13, 13),
@@ -181,8 +180,7 @@ def train_msvq(vectors: np.ndarray, bits_per_stage: tuple[int, ...] = (13, 13),
         stages.append(stage)
         reports.append(report)
     trace = sum((report.distortions for report in reports), ())
-    report = TrainReport(trace, len(trace), trace[-1], stage_reports=tuple(reports))
-    return tuple(stages), report
+    return tuple(stages), TrainReport(trace, stage_reports=tuple(reports))
 
 
 def train_codebook_set(corpus: TrainingCorpus, mode: RateMode,

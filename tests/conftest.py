@@ -41,7 +41,7 @@ def train_corpus(train_utterances, frame_config, filterbank) -> TrainingCorpus:
         [compute_mfcc(a, frame_config, filterbank).values for a in train_utterances],
         axis=0,
     )
-    return TrainingCorpus(pooled, ("session synthetic corpus",))
+    return TrainingCorpus(pooled)
 
 
 @pytest.fixture(scope="session")

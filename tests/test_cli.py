@@ -143,6 +143,26 @@ def test_eval_manifest_with_mean_footer(corpus_dir, capsys):
     assert "stoi=1.000000" in lines[0]
 
 
+def test_eval_prints_na_where_seg_snr_cannot_be_computed(corpus_dir, capsys):
+    """A silent reference and a clip shorter than one segment exit 0 with
+    seg_snr_db=NA; in a manifest the other pairs are still scored, and the
+    MEAN line averages the pairs that have the metric."""
+    silent, short = corpus_dir / "silent.wav", corpus_dir / "short.wav"
+    write_wav(silent, AudioBuffer(np.zeros(16000), 16000))
+    write_wav(short, AudioBuffer(speech_like(1.0, seed=9).samples[:100], 16000))
+    speech = str(corpus_dir / "train_2.wav")
+    for ref, deg in ((silent, speech), (short, short)):
+        assert main(["eval", str(ref), str(deg)]) == 0
+        assert "seg_snr_db=NA" in capsys.readouterr().out
+    pairs = corpus_dir / "pairs.txt"
+    pairs.write_text(f"{silent} {speech}\n{speech} {corpus_dir / 'train_3.wav'}\n")
+    assert main(["eval", "--manifest", str(pairs)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and lines[0].endswith("seg_snr_db=NA")
+    seg = [line.split("seg_snr_db=")[1] for line in lines]
+    assert seg[1] != "NA" and seg[2] == seg[1]
+
+
 def test_eval_line_matches_the_two_fft_chain(corpus_dir, capsys):
     """eval takes one FFT per signal; its line equals the one built from
     log_mel_spectrogram and magnitude_spectrogram, which take one each."""
@@ -262,9 +282,12 @@ def test_exit_codes(corpus_dir, capsys):
                      "--codebook", str(corpus_dir / "wide.mvqb"), *widths]) == 2
         assert "wider than its" in capsys.readouterr().err
     assert not (corpus_dir / "wide.mvqb").exists()
-    # 2: a beam or Griffin-Lim iteration count below 1, before any file is read
+    # 2: a beam, Griffin-Lim iteration count or scalar width below 1, before
+    # any file is read
     for argv in (["encode", str(corpus_dir / "missing.wav"), str(corpus_dir / "x.mvqc"),
                   "--codebook", book, "--beam", "0"],
+                 ["train", "--manifest", str(corpus_dir / "missing.txt"),
+                  "--codebook", str(corpus_dir / "x.mvqb"), "--sq-bits", "0"],
                  ["decode", str(corpus_dir / "missing.mvqc"), str(corpus_dir / "x.wav"),
                   "--codebook", book, "--gl-iters", "0"]):
         with pytest.raises(SystemExit) as exc:

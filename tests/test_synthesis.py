@@ -3,6 +3,8 @@ overlap-add, mel-spectrogram files, and stream decoding."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -244,6 +246,23 @@ def test_griffin_lim_stops_only_on_a_non_finite_estimate(frame_config):
         assert errors == [np.inf] * 3 and np.all(np.isfinite(audio.samples))
         with pytest.raises(ValueError, match="must be finite"):
             griffin_lim(MagnitudeSpectrogram(values * 1e8, frame_config), 60)
+
+
+def test_griffin_lim_working_set_and_read_only_target(frame_config):
+    """Over 1125 frames the kernel's traced peak stays within 32 KB per frame
+    (six frame-sized buffers and the error norm's temporary come to about
+    29 KB), and the magnitudes it reads in place come back unchanged."""
+    mag = magnitude_spectrogram(frame_signal(speech_like(18.0, seed=3), frame_config))
+    before = mag.values.tobytes()
+    tracemalloc.start()
+    try:
+        griffin_lim(mag, iterations=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mag.num_frames == 1125
+    assert peak <= 32_000 * mag.num_frames, peak / mag.num_frames
+    assert mag.values.tobytes() == before
 
 
 def test_frame_signal_matches_the_index_gather(frame_config):

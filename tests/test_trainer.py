@@ -352,9 +352,9 @@ def test_load_rejects_bad_magic_version_truncation(tmp_path, cb1000):
 
 def test_training_corpus_validation():
     with pytest.raises(ValueError):
-        TrainingCorpus(np.zeros(5), ())
+        TrainingCorpus(np.zeros(5))
     with pytest.raises(ValueError):
-        TrainingCorpus(np.array([[np.inf, 0.0]]), ())
+        TrainingCorpus(np.array([[np.inf, 0.0]]))
 
 
 @settings(max_examples=10, deadline=None)

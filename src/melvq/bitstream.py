@@ -18,13 +18,13 @@ long as its header says. Every failure is a FormatError.
                       -8 FNV-1a of the rest, u64     25 M x K float32
 
 Stream frames are concatenated MSB-first in field order: energy index, then
-the VQ stage index(es). Field widths are fixed per mode (4+12 bits or
-6+13+13 bits, so 16 or 32 bits per frame) regardless of the trained codebook
-sizes, and the payload is zero-padded to a whole byte at the end. The header
-is not counted in the payload bit rate. Codebook stage tables are row-major,
-energy levels first; load checks the digest in one fnv1a64 pass before it
-parses them, then checks that they serialize back to the hashed bytes. Mel
-values are row-major.
+one index per VQ stage. The mode's field table fixes the widths (4+12 or
+6+13+13 bits) whatever the trained codebook sizes. A frame may be any number
+of bits wide: only the payload is zero-padded to a whole byte, at the end.
+The header is not counted in the payload bit rate. Codebook stage tables are
+row-major, energy levels first; load checks the digest in one fnv1a64 pass
+before it parses them, then checks that they serialize back to the hashed
+bytes. Mel values are row-major.
 """
 
 from __future__ import annotations
@@ -131,10 +131,6 @@ def _payload_len(mode: RateMode, frame_count: int) -> int:
     return (frame_count * mode.bits_per_frame + 7) // 8
 
 
-def _word_dtype(mode: RateMode) -> np.dtype:
-    return np.dtype(f">u{mode.bits_per_frame // 8}")
-
-
 def pack(codes: np.ndarray, mode: RateMode, codebook_hash: int) -> EncodedStream:
     """Pack a (frames, fields) index array into a stream, validating every
     index against the mode's fixed field widths."""
@@ -149,20 +145,19 @@ def pack(codes: np.ndarray, mode: RateMode, codebook_hash: int) -> EncodedStream
     if bad.size:
         n, k = bad[0]
         raise ValueError(f"frame {n}: index {codes[n, k]} does not fit in {widths[k]} bits")
-    words = np.zeros(len(codes), dtype=np.int64)
-    for k, width in enumerate(widths):
-        words = (words << width) | codes[:, k]
-    payload = words.astype(_word_dtype(mode)).tobytes()
+    shifts = np.concatenate([np.arange(width)[::-1] for width in widths])  # MSB-first
+    payload = np.packbits(np.repeat(codes, widths, axis=1) >> shifts & 1).tobytes()
     return EncodedStream(mode, len(codes), codebook_hash, payload)
 
 
 def unpack_codes(stream: EncodedStream) -> np.ndarray:
     """Unpack the payload into a (frames, fields) index array."""
-    widths = np.array(stream.rate_mode.field_bits)
-    words = np.frombuffer(stream.payload, dtype=_word_dtype(stream.rate_mode),
-                          count=stream.frame_count).astype(np.int64)
-    shifts = widths.sum() - np.cumsum(widths)
-    return (words[:, None] >> shifts) & ((1 << widths) - 1)
+    widths = stream.rate_mode.field_bits
+    shifts = np.concatenate([np.arange(width)[::-1] for width in widths])  # MSB-first
+    bits = np.unpackbits(np.frombuffer(stream.payload, np.uint8),
+                         count=stream.frame_count * len(shifts))
+    values = bits.reshape(-1, len(shifts)).astype(np.int64) << shifts
+    return np.add.reduceat(values, np.cumsum(widths) - widths, axis=1)
 
 
 def stream_codes(stream: EncodedStream) -> tuple[FrameCode, ...]:

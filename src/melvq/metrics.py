@@ -45,7 +45,7 @@ DEFAULT_SEG_LEN = 256
 @dataclass(frozen=True)
 class QualityReport:
     """Per-utterance metric values; a field is None when its metric was not
-    computable for the pair (for STOI: input too short)."""
+    computable for the pair (for STOI: too short, or a silent reference)."""
 
     utterance_id: str
     stoi: float | None
@@ -145,8 +145,8 @@ def _third_octave_bands(fs: int, nfft: int, num_bands: int,
 
 def stoi(reference: AudioBuffer, degraded: AudioBuffer) -> float:
     """Short-time objective intelligibility of degraded speech against its
-    reference. Raises ValueError when, after silence removal, less than one
-    30-frame analysis segment remains."""
+    reference. Raises ValueError for a silent reference, and when, after
+    silence removal, less than one 30-frame analysis segment remains."""
     if reference.sample_rate_hz != degraded.sample_rate_hz:
         raise ValueError("sample rates differ")
     n = min(len(reference), len(degraded))
@@ -155,6 +155,8 @@ def stoi(reference: AudioBuffer, degraded: AudioBuffer) -> float:
 
     if x.size < STOI_FRAME_LEN:
         raise ValueError("signals shorter than one analysis frame")
+    if not x.any():
+        raise ValueError("the reference is silent")
     window = np.hanning(STOI_FRAME_LEN + 2)[1:-1]
     x_frames = _frame_view(x, STOI_FRAME_LEN, STOI_HOP) * window
     y_frames = _frame_view(y, STOI_FRAME_LEN, STOI_HOP) * window

@@ -4,12 +4,12 @@ Each 80-dim MFCC frame is split into its first coefficient (the frame energy
 term) and the remaining 79 coefficients. A codebook set is a list of stages:
 stage 0 is a one-dimensional codebook of sorted energy levels, and the later
 stages are cascaded 79-dim VQ stages, each quantizing the residual of the
-ones before. The 1000 bit/s mode spends 4 + 12 bits per frame on the energy
-stage and one VQ stage; the 2000 bit/s mode spends 6 + 13 + 13 bits on two
-VQ stages searched with an M-best beam. Distortion is unweighted squared
-Euclidean distance throughout, and every tie breaks toward the lowest index
-so encoding is deterministic. Frame codes are one (frames, stages) integer
-array.
+ones before. The field table _FIELD_BITS alone gives each mode's stages
+and bits: 4 + 12 per frame at 1000 bit/s, 6 + 13 + 13 at 2000 bit/s. One
+M-best beam search serves any number of VQ stages. Distortion is unweighted
+squared Euclidean distance throughout, and every tie breaks toward the
+lowest index (the lexicographically smaller path), so encoding is
+deterministic. Frame codes are one (frames, stages) integer array.
 
 The search is batched and exact. One kernel, _nearest, serves every stage
 and the trainer. It scores rows against all k codewords of a stage in
@@ -334,19 +334,23 @@ def _nearest(rows: np.ndarray, codewords: np.ndarray, keep: int,
 
 
 def _search(vectors: np.ndarray, stages: list[np.ndarray], beam: int) -> np.ndarray:
-    """VQ indices of rows: the nearest codeword of a single stage, or the
-    M-best pair of two. The beam holds the beam codewords of the first stage
-    nearest to the row; the pair with the smallest exact distance of the
-    final residual wins, ties toward the smaller first index. Two stages
-    build beam residual rows per row."""
-    if len(stages) == 1:
-        return _nearest(vectors, stages[0], 1)[0]
-    first, last = stages
-    heads = _nearest(vectors, first, beam)[0].ravel()
-    tails, dists = _nearest(np.repeat(vectors, beam, axis=0) - first[heads], last, 1)
-    pick = np.lexsort((heads.reshape(-1, beam), dists.reshape(-1, beam)))[:, 0]
-    pick += beam * np.arange(len(vectors))
-    return np.stack([heads[pick], tails[pick, 0]], axis=1)
+    """VQ indices of rows through any number of stages by an M-best beam.
+    Each kept path is extended by its min(beam, k) nearest codewords of the
+    next stage (by the nearest only in the last), and a row keeps its beam
+    best paths by the exact residual distance, ties toward the
+    lexicographically smaller path. After the last stage the best one wins."""
+    paths, residuals, kept = np.empty((len(vectors), 0), np.intp), vectors, 1
+    for depth, codewords in enumerate(stages, 1):
+        step = min(beam, len(codewords)) if depth < len(stages) else 1
+        index, dists = _nearest(residuals, codewords, step)
+        paths = np.hstack([np.repeat(paths, step, axis=0), index.reshape(-1, 1)])
+        keys = [column.reshape(-1, kept * step) for column in (dists.ravel(), *paths.T)]
+        order = np.lexsort(keys[::-1])[:, :beam]
+        chosen = (order + np.arange(0, len(paths), kept * step)[:, None]).ravel()
+        paths, kept = paths[chosen], order.shape[1]
+        if depth < len(stages):
+            residuals = residuals[chosen // step] - codewords[paths[:, -1]]
+    return paths[::kept]
 
 
 def _quantize(frames: np.ndarray, codebooks: CodebookSet,
@@ -354,14 +358,14 @@ def _quantize(frames: np.ndarray, codebooks: CodebookSet,
     """Codes of (frames, 1 + dim) MFCC rows as a (frames, stages) array:
     column 0 through the energy stage, the rest through the VQ stages.
     Frames go to the search in blocks of at most _RESIDUAL_ROWS residual
-    rows (max(1, _RESIDUAL_ROWS // beam) frames)."""
+    rows: beam per frame, the beam clamped to the paths before the last stage."""
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
     frames = np.asarray(frames, dtype=np.float64)
     if not np.all(np.isfinite(frames)):
         raise ValueError("frames must be finite")
     energy, *stages = (book.codewords for book in codebooks.stages)
-    beam = min(beam_width, len(stages[0])) if len(stages) > 1 else 1
+    beam = min(beam_width, int(np.prod([len(stage) for stage in stages[:-1]])))
     step = max(1, _RESIDUAL_ROWS // beam)
     codes = np.empty((len(frames), len(codebooks.stages)), dtype=np.int64)
     for start in range(0, len(frames), step):
@@ -374,7 +378,7 @@ def _quantize(frames: np.ndarray, codebooks: CodebookSet,
 def quantize_frame(z: np.ndarray, codebooks: CodebookSet,
                    beam_width: int = DEFAULT_BEAM_WIDTH) -> FrameCode:
     """Quantize one MFCC frame: z[0] through the energy stage, the rest
-    through the mode's vector stage(s)."""
+    through the M-best search of the mode's VQ stages, however many."""
     z = np.asarray(z, dtype=np.float64)
     expected = 1 + codebooks.vector_dim
     if z.shape != (expected,):

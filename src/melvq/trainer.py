@@ -25,9 +25,6 @@ LLOYD_REL_TOL = 1e-4     # stop when the relative distortion drop falls below th
 LLOYD_MAX_ITERS = 50     # per Lloyd pass
 SPLIT_EPSILON = 0.01     # scale factor for the split copy of each codeword
 
-# Report names printed by `melvq train`, by number of VQ stages.
-_VQ_REPORT_NAMES = {1: "vector", 2: "msvq"}
-
 
 @dataclass(frozen=True, eq=False)
 class TrainingCorpus:
@@ -206,6 +203,7 @@ def train_codebook_set(corpus: TrainingCorpus, mode: RateMode,
         raise ValueError("corpus vectors must have at least 2 coefficients")
     energy, energy_report = train_scalar(vectors[:, 0], sq_bits)
     stages, vq_report = train_msvq(vectors[:, 1:], stage_bits)
-    reports = {"scalar": energy_report, _VQ_REPORT_NAMES[len(stages)]: vq_report}
+    vq_name = "vector" if len(stage_bits) == 1 else "msvq"  # the name `melvq train` prints
+    reports = {"scalar": energy_report, vq_name: vq_report}
     return CodebookSet(mode, (energy,) + stages), reports
 

@@ -25,6 +25,10 @@ require the replacement to give the same results bit for bit.
   that this Lloyd loop runs on this `_assign` throughout. With `_assign`
   patched to the trainer's, `_lloyd` must return the same codewords and
   trace bit for bit.
+- `_word_dtype`, `pack` and `unpack_codes`: the stream packer of
+  `melvq.bitstream` that wrote each frame as one big-endian 16- or 32-bit
+  word, before frames of any width were packed bit by bit. For the 16- and
+  32-bit field tables the payload bytes and unpacked codes must be equal.
 """
 
 from __future__ import annotations
@@ -37,12 +41,14 @@ from scipy.fft import idct as _scipy_idct
 from scipy.io import wavfile
 from scipy.signal import upfirdn  # noqa: F401  (re-exported oracle)
 
+from melvq.bitstream import EncodedStream
 from melvq.errors import FormatError
 from melvq.quantizer import (
     DEFAULT_BEAM_WIDTH,
     FNV64_OFFSET_BASIS,
     FNV64_PRIME,
     CodebookSet,
+    RateMode,
     VectorCodebook,
 )
 from melvq.analysis import hamming_window
@@ -260,3 +266,37 @@ def _reseed(vectors: np.ndarray, codewords: np.ndarray, occupied: np.ndarray) ->
         assign[farthest] = cell
         dists[farthest] = 0.0
     return codewords
+
+
+def _word_dtype(mode: RateMode) -> np.dtype:
+    return np.dtype(f">u{mode.bits_per_frame // 8}")
+
+
+def pack(codes: np.ndarray, mode: RateMode, codebook_hash: int) -> EncodedStream:
+    """Pack a (frames, fields) index array into a stream, validating every
+    index against the mode's fixed field widths."""
+    widths = mode.field_bits
+    codes = np.asarray(codes, dtype=np.int64)
+    if codes.ndim != 2 or codes.shape[1] != len(widths):
+        raise ValueError(
+            f"{mode.name} packs {len(widths)} fields per frame, "
+            f"got codes of shape {codes.shape}"
+        )
+    bad = np.argwhere((codes < 0) | (codes >= 1 << np.array(widths)))
+    if bad.size:
+        n, k = bad[0]
+        raise ValueError(f"frame {n}: index {codes[n, k]} does not fit in {widths[k]} bits")
+    words = np.zeros(len(codes), dtype=np.int64)
+    for k, width in enumerate(widths):
+        words = (words << width) | codes[:, k]
+    payload = words.astype(_word_dtype(mode)).tobytes()
+    return EncodedStream(mode, len(codes), codebook_hash, payload)
+
+
+def unpack_codes(stream: EncodedStream) -> np.ndarray:
+    """Unpack the payload into a (frames, fields) index array."""
+    widths = np.array(stream.rate_mode.field_bits)
+    words = np.frombuffer(stream.payload, dtype=_word_dtype(stream.rate_mode),
+                          count=stream.frame_count).astype(np.int64)
+    shifts = widths.sum() - np.cumsum(widths)
+    return (words[:, None] >> shifts) & ((1 << widths) - 1)

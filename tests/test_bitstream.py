@@ -4,21 +4,29 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from melvq import quantizer
+from melvq.analysis import FrameConfig, compute_mfcc
 from melvq.bitstream import (
     HEADER_LEN,
     STREAM_MAGIC,
     STREAM_VERSION,
     EncodedStream,
+    encode_audio,
     pack,
     stream_bitrate,
     stream_codes,
     unpack_codes,
 )
 from melvq.errors import FormatError
-from melvq.quantizer import FrameCode, RateMode
+from melvq.quantizer import FrameCode, RateMode, _quantize
+from melvq.signal_io import AudioBuffer
+from melvq.signals import speech_like
+from melvq.synthesis import decode_stream
+from melvq.trainer import train_codebook_set
 
 
 def frame_codes_strategy(mode: RateMode):
@@ -154,3 +162,54 @@ def test_mass_roundtrip_both_modes():
             if not np.array_equal(back, codes):
                 mismatches += 1
         assert mismatches == 0
+
+
+@pytest.mark.parametrize("mode", list(RateMode))
+@pytest.mark.parametrize("count", [0, 1, 7, 1000])
+def test_pack_and_unpack_match_the_word_packer(mode, count):
+    """The bit packer gives the bytes and codes of the one-word-per-frame
+    packer it replaced, for all-zero, all-maximum and random indices."""
+    widths = np.array(mode.field_bits)
+    rng = np.random.default_rng(count)
+    for codes in (np.zeros((count, len(widths)), np.int64),
+                  np.tile((1 << widths) - 1, (count, 1)),
+                  rng.integers(0, 1 << widths, (count, len(widths)))):
+        stream, want = pack(codes, mode, 5), reference.pack(codes, mode, 5)
+        assert stream.payload == want.payload
+        got, expected = unpack_codes(stream), reference.unpack_codes(want)
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(got, codes)
+
+
+def test_a_field_table_of_any_width_round_trips_end_to_end(monkeypatch, train_corpus):
+    """With R2000 patched to 3 + 5 + 5 + 5 = 18 bits per frame, which is no
+    whole number of bytes, training, encoding, parsing, unpacking and
+    decoding follow the field table: frames are MSB-first, and only the
+    payload is zero-padded to a whole byte, at the end."""
+    monkeypatch.setitem(quantizer._FIELD_BITS, RateMode.R2000, (3, 5, 5, 5))
+    books, reports = train_codebook_set(train_corpus, RateMode.R2000)
+    assert set(reports) == {"scalar", "msvq"}
+    assert books.stage_bits == (5, 5, 5)
+    cfg = FrameConfig()
+    speech = speech_like(1.0, seed=7).samples
+    for count in (0, 1, 3, 40):
+        if count:
+            audio = AudioBuffer(speech[:count * cfg.frame_shift], cfg.sample_rate_hz)
+            codes = _quantize(compute_mfcc(audio, cfg).values, books)
+            stream = encode_audio(audio, books)
+        else:  # no audio gives zero frames
+            codes = np.zeros((0, 4), np.int64)
+            stream = pack(codes, RateMode.R2000, books.content_hash)
+        assert stream.frame_count == count
+        assert len(stream.payload) == -(-18 * count // 8)
+        parsed = EncodedStream.from_bytes(stream.to_bytes())
+        bits = np.unpackbits(np.frombuffer(parsed.payload, np.uint8))
+        assert not bits[18 * count:].any()
+        expected = "".join(f"{c:0{w}b}" for row in codes for c, w in zip(row, (3, 5, 5, 5)))
+        assert "".join(map(str, bits[:18 * count])) == expected
+        np.testing.assert_array_equal(unpack_codes(parsed), codes)
+        if count:
+            decoded = decode_stream(parsed, books, gl_iterations=2)
+            assert len(decoded) == (count - 1) * cfg.frame_shift + cfg.frame_len
+            assert np.all(np.isfinite(decoded.samples))

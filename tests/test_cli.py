@@ -145,22 +145,24 @@ def test_eval_manifest_with_mean_footer(corpus_dir, capsys):
 
 def test_eval_prints_na_where_seg_snr_cannot_be_computed(corpus_dir, capsys):
     """A silent reference and a clip shorter than one segment exit 0 with
-    seg_snr_db=NA; in a manifest the other pairs are still scored, and the
-    MEAN line averages the pairs that have the metric."""
+    seg_snr_db=NA and stoi=NA; in a manifest the other pairs are still
+    scored, and the MEAN line averages the pairs that have the metric."""
     silent, short = corpus_dir / "silent.wav", corpus_dir / "short.wav"
     write_wav(silent, AudioBuffer(np.zeros(16000), 16000))
     write_wav(short, AudioBuffer(speech_like(1.0, seed=9).samples[:100], 16000))
     speech = str(corpus_dir / "train_2.wav")
     for ref, deg in ((silent, speech), (short, short)):
         assert main(["eval", str(ref), str(deg)]) == 0
-        assert "seg_snr_db=NA" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "seg_snr_db=NA" in out and "stoi=NA" in out
     pairs = corpus_dir / "pairs.txt"
     pairs.write_text(f"{silent} {speech}\n{speech} {corpus_dir / 'train_3.wav'}\n")
     assert main(["eval", "--manifest", str(pairs)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3 and lines[0].endswith("seg_snr_db=NA")
-    seg = [line.split("seg_snr_db=")[1] for line in lines]
-    assert seg[1] != "NA" and seg[2] == seg[1]
+    for field in ("stoi=", "seg_snr_db="):
+        values = [line.split(field)[1].split()[0] for line in lines]
+        assert values[0] == "NA" and values[1] != "NA" and values[2] == values[1]
 
 
 def test_eval_line_matches_the_two_fft_chain(corpus_dir, capsys):

@@ -63,6 +63,16 @@ def test_stoi_rejects_rate_mismatch():
         stoi(x, y)
 
 
+def test_stoi_rejects_a_silent_reference():
+    """A silent reference has no intelligibility to lose: it raises, where
+    it used to score 0.0. A silent degraded signal still scores."""
+    speech = speech_like(2.0, seed=1)
+    silence = AudioBuffer(np.zeros(len(speech)), speech.sample_rate_hz)
+    with pytest.raises(ValueError, match="silent"):
+        stoi(silence, speech)
+    assert stoi(speech, silence) == 0.0
+
+
 def test_stoi_rejects_too_short():
     x = tone(300.0, 0.05)
     with pytest.raises(ValueError):

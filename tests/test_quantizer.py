@@ -1,7 +1,9 @@
-"""The stage-list quantizer (energy, VQ and two-stage M-best search)
+"""The stage-list quantizer (energy, VQ and N-stage M-best search)
 against brute-force oracles."""
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from melvq.quantizer import (
     fnv1a64,
     quantize_frame,
 )
-from melvq.quantizer import _FNV_BLOCK, _FNV_CHUNK
+from melvq.quantizer import _FNV_BLOCK, _FNV_CHUNK, _search
 
 # ---------------------------------------------------------------- oracles
 
@@ -42,20 +44,42 @@ def naive_vq(vec: np.ndarray, codewords: np.ndarray) -> int:
     return best
 
 
-def naive_msvq_exhaustive(vec, stage1, stage2):
+def _residual(vec, stages, path):
+    for stage, i in zip(stages, path):
+        vec = vec - stage[i].astype(np.float64)
+    return vec
+
+
+def naive_msvq_exhaustive(vec, *stages):
+    """The jointly nearest path of any number of stages, ties toward the
+    lexicographically smaller path."""
     best, best_d = None, float("inf")
-    for i, c1 in enumerate(stage1.astype(np.float64)):
-        for j, c2 in enumerate(stage2.astype(np.float64)):
-            d = float(np.sum((vec - c1 - c2) ** 2))
-            if d < best_d:
-                best, best_d = (i, j), d
+    for path in itertools.product(*(range(len(stage)) for stage in stages)):
+        d = float(np.sum(_residual(vec, stages, path) ** 2))
+        if d < best_d:
+            best, best_d = path, d
     return best
 
 
-def naive_msvq_greedy(vec, stage1, stage2):
-    i = naive_vq(vec, stage1)
-    j = naive_vq(vec - stage1[i].astype(np.float64), stage2)
-    return (i, j)
+def naive_msvq_greedy(vec, *stages):
+    path = ()
+    for stage in stages:
+        path += (naive_vq(_residual(vec, stages, path), stage),)
+    return path
+
+
+def naive_msvq_mbest(vec, stages, beam):
+    """M-best: every kept path is extended by every codeword of the next
+    stage, and the beam best by residual distance are kept, ties toward the
+    smaller path; after the last stage the best one wins."""
+    def rank(path):
+        return float(np.sum(_residual(vec, stages, path) ** 2)), path
+
+    paths = [()]
+    for depth, stage in enumerate(stages):
+        extended = [path + (i,) for path in paths for i in range(len(stage))]
+        paths = sorted(extended, key=rank)[:beam if depth < len(stages) - 1 else 1]
+    return paths[0]
 
 
 # ------------------------------------------------------------- helpers
@@ -231,6 +255,44 @@ def test_msvq_wider_beam_never_worse():
                 dists.append(float(np.sum((vec - _vq_decode(code, books)) ** 2)))
             assert dists[1] <= dists[0] + 1e-12
             assert dists[2] <= dists[1] + 1e-12
+
+
+def _three_stages(seed: int) -> list[np.ndarray]:
+    rng = np.random.default_rng(seed)
+    return [(scale * rng.standard_normal((4, 3))).astype(np.float32)
+            for scale in (1.0, 0.5, 0.25)]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_three_stage_search_matches_the_oracles(seed):
+    """Three stages prune paths after the middle one, which two never do:
+    beam 1 is the greedy search, a beam of k1 * k2 or more the exhaustive
+    joint search, and every beam the brute-force M-best search."""
+    stages = _three_stages(seed)
+    vectors = np.random.default_rng(400 + seed).standard_normal((20, 3))
+    greedy = [naive_msvq_greedy(vec, *stages) for vec in vectors]
+    np.testing.assert_array_equal(_search(vectors, stages, 1), greedy)
+    exhaustive = [naive_msvq_exhaustive(vec, *stages) for vec in vectors]
+    for beam in (16, 64):
+        np.testing.assert_array_equal(_search(vectors, stages, beam), exhaustive)
+    for beam in (2, 3, 5):
+        mbest = [naive_msvq_mbest(vec, stages, beam) for vec in vectors]
+        np.testing.assert_array_equal(_search(vectors, stages, beam), mbest)
+
+
+def test_search_breaks_exact_ties_toward_the_smaller_path():
+    """Paths whose codewords sum to the row tie at distance 0. The beam keeps
+    and returns the lexicographically smallest of them, not the one with
+    the smaller last index."""
+    unit = np.eye(3)[0]
+    stage = np.stack([0 * unit, unit, 5 * unit, -5 * unit]).astype(np.float32)
+    vectors = unit[None, :]
+    assert _search(vectors, [stage] * 2, 2).tolist() == [[0, 1]]
+    assert _search(vectors, [stage] * 3, 16).tolist() == [[0, 0, 1]]
+    for count in (2, 3):
+        for beam in (1, 2, 3, 16):
+            want = naive_msvq_mbest(unit, [stage] * count, beam)
+            assert _search(vectors, [stage] * count, beam).tolist() == [list(want)]
 
 
 def test_msvq_beam_width_validated():
